@@ -21,6 +21,8 @@ carrier, multipath distortion included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -38,9 +40,51 @@ from repro.core.projector import Projector
 from repro.net.messages import Query, Response
 from repro.node.node import PABNode
 from repro.obs.probe import get_probes
-from repro.obs.trace import get_tracer
+from repro.obs.trace import NULL_SPAN, get_tracer
 from repro.perf.cache import LRUCache, cache_enabled
 from repro.piezo.transducer import Transducer
+
+
+class CarrierLeg(NamedTuple):
+    """The reply-independent half of an uplink leg, as the leg memo holds it.
+
+    Keyed by query, reply length, bitrate and resonance mode, and cut to
+    what the chip-dependent tail (:meth:`BackscatterLink._uplink_leg`)
+    reads.  The tail rebuilds the node's reflection by overwriting the
+    reply window of ``idle``; outside that window the node idles in the
+    absorptive state.
+    """
+
+    #: ``real(gamma_a * analytic)`` over the whole incident waveform,
+    #: with ``gamma_a`` the absorptive reflection of the key's mode.
+    idle: np.ndarray
+    #: The analytic incident under the reply window only.
+    window: np.ndarray
+    #: First sample of the reply window.
+    reply_start: int
+    #: The direct projector arrival from ``analysis_start`` on.
+    direct_tail: np.ndarray
+    #: Length of the whole direct arrival.
+    direct_len: int
+    #: First hydrophone sample the demodulator reads.
+    analysis_start: int
+
+
+class UplinkLeg(NamedTuple):
+    """The quiet (pre-noise) hydrophone mixture, as the leg memo holds it."""
+
+    #: ``mixture[analysis_start:]``: all the demodulator reads.
+    tail: np.ndarray
+    #: Length of the whole mixture.  The exchange still draws this much
+    #: noise, so the noise stream advances exactly as before.
+    total: int
+    #: First mixture sample the demodulator reads.
+    analysis_start: int
+
+
+def _untraced(name: str, **attrs):
+    """A stage opener that records nothing (legs built outside a trace)."""
+    return NULL_SPAN
 
 
 def reradiation_response(
@@ -229,7 +273,11 @@ class BackscatterLink:
         default, so the hot path pays only no-op span checks).  Spans
         cover the five stages of an exchange: ``link.pwm_synthesis``,
         ``link.downlink_propagation``, ``link.node``,
-        ``link.uplink_propagation``, ``link.hydrophone_dsp``.
+        ``link.uplink_propagation``, ``link.hydrophone_dsp``.  Tracing
+        never changes which code runs: each stage span carries a
+        ``source`` attribute saying whether its result was
+        ``computed``, ``recalled`` from the leg memo, or ``batched``
+        (served by a batch hint).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; records
         transaction/CRC counters and SNR/BER histograms.
@@ -250,6 +298,23 @@ class BackscatterLink:
         "link.node",
         "link.uplink_propagation",
         "link.hydrophone_dsp",
+    )
+
+    #: ``(span name, attrs)`` of the stages a recalled memo leg stands
+    #: in for, in pipeline order: the query decode, the carrier half of
+    #: the uplink, and the chip-dependent uplink tail.
+    _QUERY_STAGES = (
+        ("link.pwm_synthesis", {"segment": "query"}),
+        ("link.downlink_propagation", {"segment": "query"}),
+        ("link.node", {"phase": "decode_query"}),
+    )
+    _CARRIER_STAGES = (
+        ("link.pwm_synthesis", {"segment": "query_then_carrier"}),
+        ("link.downlink_propagation", {"segment": "carrier"}),
+    )
+    _TAIL_STAGES = (
+        ("link.node", {"phase": "backscatter"}),
+        ("link.uplink_propagation", {}),
     )
 
     #: Guard time appended after the expected reply [s].
@@ -326,7 +391,9 @@ class BackscatterLink:
         # the same few query/response shapes, so the expensive synthesis
         # and propagation convolutions hit after the first round.  The
         # size accommodates the split carrier/uplink entries plus the
-        # handful of reply payloads a drifting sensor cycles through.
+        # handful of reply payloads a drifting sensor cycles through;
+        # the legs hold only the samples later stages read
+        # (CarrierLeg, UplinkLeg).
         self._leg_memo = LRUCache("link_legs", maxsize=16)
         # Demodulations precomputed by the batched fleet engine's
         # prepass, keyed (uplink leg key, noise stream position); see
@@ -476,54 +543,96 @@ class BackscatterLink:
             ),
         )
 
-    def _gamma_trajectory(
-        self, n_samples: int, chips, uplink_start_at_node: int, bitrate: float
-    ) -> np.ndarray:
-        """Per-sample complex reflection gain over an uplink waveform."""
-        gamma_a, _gamma_r, trajectory = self.node.reflection_trajectory(
+    def _leg_offsets(self, uplink_start: int) -> tuple[int, int]:
+        """``(reply_start, analysis_start)`` for a carrier from ``uplink_start``.
+
+        The node waits half the margin after the query before replying.
+        The hydrophone analyses from after the carrier's turn-on edge has
+        settled there (the edge is a huge amplitude step that would
+        dominate the modulation-axis estimate) but before the node's
+        reply begins.
+        """
+        fs = self.sample_rate
+        delay_pn = int(round(self.ch_projector_node.direct_path.delay_s * fs))
+        delay_ph = int(
+            round(self.ch_projector_hydrophone.direct_path.delay_s * fs)
+        )
+        return (
+            uplink_start + delay_pn + int(self.UPLINK_MARGIN_S / 2 * fs),
+            uplink_start + delay_ph + int(0.3 * self.UPLINK_MARGIN_S * fs),
+        )
+
+    def _direct_arrival(self, tx) -> np.ndarray:
+        """The projector's own waveform as it reaches the hydrophone [Pa]."""
+        return (
+            self.beam_gain_hydrophone
+            * self.ch_projector_hydrophone.apply(tx, include_noise=False).waveform
+        )
+
+    def _reply_window(
+        self, n_samples: int, reply_start: int, n_chips: int, bitrate: float
+    ) -> slice:
+        """The samples a reply of ``n_chips`` modulates.
+
+        From ``reply_start`` to the end of the last chip, clipped by the
+        end of the waveform.
+        """
+        spc = self.sample_rate / (2.0 * bitrate)
+        stop = min(reply_start + int(round(n_chips * spc)), n_samples)
+        return slice(reply_start, max(stop, reply_start))
+
+    def _reply_gamma(self, chips, bitrate: float, n_samples: int) -> np.ndarray:
+        """Per-sample complex reflection gain over a reply window."""
+        _gamma_a, _gamma_r, trajectory = self.node.reflection_trajectory(
             chips, self.projector.carrier_hz
         )
-        chip_rate = 2.0 * bitrate
-        spc = self.sample_rate / chip_rate
-        gamma_t = np.full(n_samples, complex(gamma_a))
+        spc = self.sample_rate / (2.0 * bitrate)
+        gamma = np.zeros(n_samples, dtype=complex)
         for k, g in enumerate(trajectory):
-            a = uplink_start_at_node + int(round(k * spc))
-            b = uplink_start_at_node + int(round((k + 1) * spc))
+            a = int(round(k * spc))
             if a >= n_samples:
                 break
-            gamma_t[a : min(b, n_samples)] = g
-        return gamma_t
+            gamma[a : int(round((k + 1) * spc))] = g
+        return gamma
 
-    def _backscatter_waveform(
-        self,
-        incident,
-        chips,
-        uplink_start_at_node: int,
-        *,
-        analytic=None,
-        bitrate: float | None = None,
+    def _idle_reflection(self, analytic, mode: int) -> np.ndarray:
+        """``real(gamma_a * analytic)``, with ``gamma_a`` of ``mode``.
+
+        The mode is passed, never read from the node: the batched engine
+        builds legs for predicted exchanges.
+        """
+        gamma_a, _gamma_r = self.node.bank.reflection_states(
+            mode, self.projector.carrier_hz
+        )
+        return np.ascontiguousarray(np.real(gamma_a * analytic))
+
+    def _reflected(
+        self, idle, window, reply_start: int, chips, bitrate: float
     ) -> np.ndarray:
-        """Reflected pressure (at 1 m from the node) given incident waveform.
+        """The node's reflection of the analytic incident, before re-radiation.
 
         The reflection coefficient trajectory multiplies the analytic
-        incident signal; outside the reply the node idles in the
-        absorptive state, whose (static) reflection carries no modulation
-        and is dropped — only the *difference* between states matters to
-        the decoder, and the constant term merely adds to the carrier.
-
-        ``analytic`` may carry a precomputed ``hilbert(incident)`` (the
-        carrier-leg memo and the batched engine reuse it across reply
-        payloads); supplying it changes nothing numerically.
+        incident signal under the reply ``window``; everywhere else the
+        node idles in the absorptive state, whose reflection ``idle``
+        already holds.  Every sample is the same elementwise product a
+        whole-waveform trajectory gives.
         """
-        gamma_t = self._gamma_trajectory(
-            len(incident),
-            chips,
-            uplink_start_at_node,
-            self.node.bitrate if bitrate is None else bitrate,
+        reflected = np.array(idle)
+        gamma = self._reply_gamma(chips, bitrate, len(window))
+        reflected[reply_start : reply_start + len(window)] = np.real(
+            gamma * window
         )
-        if analytic is None:
-            analytic = hilbert(np.asarray(incident, dtype=float))
-        reflected = np.real(gamma_t * analytic)
+        return reflected
+
+    def _reradiate(self, reflected) -> np.ndarray:
+        """The reflection as it leaves the node.
+
+        Filtered through the transducer's resonance
+        (:func:`apply_reradiation_filter`), then, for a drifting node,
+        Doppler-dilated (the direct carrier is unaffected).  One-way
+        Doppler is applied here; the downlink leg's shift is
+        second-order for the envelope.
+        """
         reflected = apply_reradiation_filter(
             reflected,
             self.node.transducer,
@@ -532,9 +641,6 @@ class BackscatterLink:
             response=self._reradiation_response(len(reflected)),
         )
         if self.node_velocity_mps:
-            # A drifting node Doppler-dilates its reflection (the direct
-            # carrier is unaffected).  One-way Doppler is applied here;
-            # the downlink leg's shift is second-order for the envelope.
             from repro.acoustics.doppler import apply_doppler
 
             moved = apply_doppler(
@@ -545,71 +651,137 @@ class BackscatterLink:
             reflected = moved[: len(reflected)]
         return reflected
 
+    def _backscatter_waveform(
+        self, incident, chips, uplink_start_at_node: int
+    ) -> np.ndarray:
+        """Reflected pressure (at 1 m from the node) given incident waveform.
+
+        The reflection coefficient trajectory multiplies the analytic
+        incident signal; outside the reply the node idles in the
+        absorptive state (see :meth:`_reflected`).
+        """
+        analytic = hilbert(np.asarray(incident, dtype=float))
+        bitrate = self.node.bitrate
+        reply = self._reply_window(
+            len(analytic), uplink_start_at_node, len(chips), bitrate
+        )
+        idle = self._idle_reflection(
+            analytic, self.node.firmware.config.resonance_mode
+        )
+        return self._reradiate(
+            self._reflected(idle, analytic[reply], reply.start, chips, bitrate)
+        )
+
+    def _slim_carrier(
+        self,
+        analytic,
+        direct,
+        uplink_start: int,
+        n_chips: int,
+        bitrate: float,
+        mode: int,
+    ) -> CarrierLeg:
+        """Cut a propagated carrier down to the :class:`CarrierLeg` it memoizes."""
+        reply_start, analysis_start = self._leg_offsets(uplink_start)
+        reply = self._reply_window(len(analytic), reply_start, n_chips, bitrate)
+        return CarrierLeg(
+            idle=self._idle_reflection(analytic, mode),
+            window=analytic[reply].copy(),
+            reply_start=reply_start,
+            direct_tail=direct[analysis_start:].copy(),
+            direct_len=len(direct),
+            analysis_start=analysis_start,
+        )
+
     def _carrier_leg(
-        self, query: Query, n_chips: int, bitrate: float
-    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        self,
+        query: Query,
+        n_chips: int,
+        bitrate: float,
+        mode: int,
+        stage=_untraced,
+    ) -> CarrierLeg:
         """The reply-payload-independent half of the uplink leg.
 
         Everything here depends only on the query, the reply *length*,
-        and the bitrate — not on which chips the node actually sends:
-        the transmit waveform, its propagation to the node (as the
-        analytic signal the reflection modulates) and to the hydrophone
-        (the direct carrier), and the timing offsets.  Splitting this
-        out of the uplink memo means a node whose sensor reading drifts
-        between rounds only recomputes the cheap chip-dependent tail,
-        not the hilbert transform and two channel convolutions.
-
-        Returns ``(analytic, direct, reply_start, analysis_start)``.
+        the bitrate and the resonance mode — not on which chips the node
+        actually sends: the transmit waveform, its propagation to the
+        node (as the analytic signal the reflection modulates) and to the
+        hydrophone (the direct carrier), and the timing offsets.
+        Splitting this out of the uplink memo means a node whose sensor
+        reading drifts between rounds only recomputes the cheap
+        chip-dependent tail, not the hilbert transform and two channel
+        convolutions.  ``stage(name, **attrs)`` opens each stage's span.
         """
         fs = self.sample_rate
-        chip_rate = 2.0 * bitrate
-        uplink_s = n_chips / chip_rate + self.UPLINK_MARGIN_S
-        tx, uplink_start = self.projector.query_then_carrier(query, uplink_s, fs)
-        incident = self._node_incident(tx)
-        delay_pn = int(round(self.ch_projector_node.direct_path.delay_s * fs))
-        reply_start = (
-            uplink_start + delay_pn + int(self.UPLINK_MARGIN_S / 2 * fs)
-        )
-        analytic = hilbert(np.asarray(incident, dtype=float))
-        direct = (
-            self.beam_gain_hydrophone
-            * self.ch_projector_hydrophone.apply(tx, include_noise=False).waveform
-        )
-        delay_ph = int(
-            round(self.ch_projector_hydrophone.direct_path.delay_s * fs)
-        )
-        analysis_start = (
-            uplink_start + delay_ph + int(0.3 * self.UPLINK_MARGIN_S * fs)
-        )
-        return analytic, direct, reply_start, analysis_start
+        uplink_s = n_chips / (2.0 * bitrate) + self.UPLINK_MARGIN_S
+        with stage("link.pwm_synthesis", segment="query_then_carrier") as sp:
+            tx, uplink_start = self.projector.query_then_carrier(
+                query, uplink_s, fs
+            )
+            sp.set(samples=len(tx))
+        with stage(
+            "link.downlink_propagation", segment="carrier", samples=len(tx)
+        ):
+            incident = self._node_incident(tx)
+        with stage("link.uplink_propagation", segment="direct", samples=len(tx)):
+            direct = self._direct_arrival(tx)
+        with stage("link.node", phase="backscatter", segment="carrier"):
+            return self._slim_carrier(
+                hilbert(np.asarray(incident, dtype=float)),
+                direct, uplink_start, n_chips, bitrate, mode,
+            )
 
-    def _finish_uplink_leg(
-        self,
-        leg: tuple[np.ndarray, np.ndarray, int, int],
-        chips,
-        bitrate: float,
-    ) -> tuple[np.ndarray, int]:
+    @staticmethod
+    def _quiet_tail(carrier: CarrierLeg, uplink) -> UplinkLeg:
+        """The pre-noise hydrophone mixture from the analysis start on.
+
+        Summed as the whole mixture would be (zeros, then the direct
+        carrier, then the propagated reflection) but only over the
+        analysed samples — elementwise, so each is bit-identical.
+        """
+        start = carrier.analysis_start
+        total = max(carrier.direct_len, len(uplink))
+        tail = np.zeros(max(total - start, 0))
+        tail[: len(carrier.direct_tail)] += carrier.direct_tail
+        reflected = uplink[start:]
+        tail[: len(reflected)] += reflected
+        return UplinkLeg(tail, total, start)
+
+    def _uplink_leg(
+        self, carrier: CarrierLeg, chips, bitrate: float, stage=_untraced
+    ) -> UplinkLeg:
         """The chip-dependent tail of the uplink leg.
 
-        Modulates the memoized analytic incident with this reply's
-        reflection trajectory, re-radiates it, propagates it to the
-        hydrophone, and mixes it with the direct carrier — the same
-        operations, in the same order, on the same inputs as the
-        original single-shot leg computation, so the resulting quiet
-        mixture is byte-identical.
+        Modulates the memoized carrier with this reply's reflection
+        trajectory, re-radiates it, propagates it to the hydrophone, and
+        mixes it with the direct carrier — the same operations on the
+        same inputs as the uncached exchange, so the analysed tail of
+        the quiet mixture is byte-identical.
         """
-        analytic, direct, reply_start, analysis_start = leg
-        reflected = self._backscatter_waveform(
-            analytic, chips, reply_start, analytic=analytic, bitrate=bitrate
-        )
-        uplink = self.ch_node_hydrophone.apply(
-            reflected, include_noise=False
-        ).waveform
-        n = max(len(direct), len(uplink))
-        mixture = np.zeros(n)
-        mixture[: len(direct)] += direct
-        mixture[: len(uplink)] += uplink
-        return mixture, analysis_start
+        with stage("link.node", phase="backscatter", chips=len(chips)):
+            reflected = self._reradiate(
+                self._reflected(
+                    carrier.idle, carrier.window, carrier.reply_start,
+                    chips, bitrate,
+                )
+            )
+        with stage("link.uplink_propagation", samples=len(reflected)):
+            uplink = self.ch_node_hydrophone.apply(
+                reflected, include_noise=False
+            ).waveform
+            return self._quiet_tail(carrier, uplink)
+
+    def _record_tail(self, leg: UplinkLeg) -> np.ndarray:
+        """Draw this exchange's noise and record the analysed tail.
+
+        The noise stream advances by the whole mixture, as the exchange
+        always has; only the tail the demodulator reads is summed and
+        recorded.  ``record()`` is elementwise, so this equals slicing a
+        recording of the whole mixture bit for bit.
+        """
+        noise = self.noise.generate(leg.total, self.sample_rate)
+        return self.hydrophone.record(leg.tail + noise[leg.analysis_start:])
 
     # -- the exchange ----------------------------------------------------------------------
 
@@ -660,7 +832,8 @@ class BackscatterLink:
         exchange revisits (PWM synthesis runs once for the node-decode
         leg and once for the full transmission) simply emits another
         span with the same name, and per-stage reports aggregate by
-        name.
+        name.  Every stage span is tagged ``source`` (see
+        :meth:`_stage`), whether the exchange took the leg memo or not.
 
         When signal probes are enabled the stages additionally publish
         waveform taps, and a failed exchange is autopsied into a
@@ -672,7 +845,10 @@ class BackscatterLink:
         if probes.enabled:
             txn = probes.begin_transaction()
         with tracer.span("link.transact", destination=int(query.destination)) as root:
-            result = self._run_stages(query, tracer, probes)
+            if self._memo_active():
+                result = self._run_stages_cached(query, tracer)
+            else:
+                result = self._run_stages(query, tracer, probes)
             if probes.enabled and not result.success:
                 from repro.obs.postmortem import DecodePostmortem
 
@@ -686,23 +862,77 @@ class BackscatterLink:
         self._observe(result)
         return result
 
-    def _memo_active(self, tracer, probes) -> bool:
-        """Whether the leg memo may shortcut waveform synthesis.
+    def _memo_active(self) -> bool:
+        """Whether this link's exchanges may take the leg memo.
 
-        Only when nothing observes the intermediate signals: tracing
-        wants true per-stage timings, probes want the actual waveforms, and
-        an energy ledger wants real firmware dwell times.  The memo
-        never changes outputs — the gates protect observability, not
-        correctness.
+        Not when caching is off, when probes want the actual
+        intermediate waveforms, or when an energy ledger wants the
+        firmware's real decode dwell times.  Tracing does not gate it:
+        the memoized path opens the same stage spans.  The memo never
+        changes outputs — the gates protect observability, not
+        correctness.  The batched engine plans only links for which
+        this holds.
         """
         return (
             cache_enabled()
-            and not tracer.enabled
-            and not probes.enabled
+            and not self._probes().enabled
             and self.node.firmware.ledger is None
         )
 
-    def _run_stages_cached(self, query: Query) -> LinkResult:
+    @staticmethod
+    def _stage(tracer, name: str, source: str, **attrs):
+        """Open stage span ``name``, tagged with where its result came from.
+
+        ``source`` is ``"computed"`` (the stage's work ran inside the
+        span), ``"recalled"`` (a leg-memo hit stood in for it) or
+        ``"batched"`` (a batch hint served the demodulation).
+        """
+        return tracer.span(name, source=source, **attrs)
+
+    def _recall(self, tracer, key, compute, stages):
+        """Leg-memo entry ``key``, computed stage by stage on a miss.
+
+        ``compute(stage)`` builds the leg, opening each stage's span
+        through ``stage(name, **attrs)``, tagged ``computed``.  On a hit
+        ``stages`` — the ``(name, attrs)`` spans the leg stands in for —
+        open empty, tagged ``recalled``, so a traced exchange shows every
+        stage whichever way its legs were obtained.
+        """
+        hit = key in self._leg_memo
+        leg = self._leg_memo.get_or_compute(
+            key,
+            lambda: compute(partial(self._stage, tracer, source="computed")),
+        )
+        if hit:
+            for name, attrs in stages:
+                with self._stage(tracer, name, "recalled", **attrs):
+                    pass
+        return leg
+
+    def _decode_query(self, query: Query, stage) -> Query | None:
+        """The node's decode of the query waveform (a memoized leg).
+
+        The PWM decode is pure DSP on the query envelope (the node is
+        powered and unledgered on the memo path, and the PWM code is
+        fixed at construction), so only the decoded query is kept.
+        """
+        fs = self.sample_rate
+        with stage("link.pwm_synthesis", segment="query") as sp:
+            query_wave = self.projector.query_waveform(query, fs)
+            sp.set(samples=len(query_wave))
+        with stage(
+            "link.downlink_propagation", segment="query", samples=len(query_wave)
+        ):
+            incident = self._node_incident(query_wave)
+        with stage("link.node", phase="decode_query") as sp:
+            env = envelope_detect(
+                self._node_selective(incident), self.projector.carrier_hz, fs
+            )
+            decoded = self.node.receive_query(env, fs)
+            sp.set(decoded=decoded is not None)
+        return decoded
+
+    def _run_stages_cached(self, query: Query, tracer) -> LinkResult:
         """The exchange with memoized deterministic legs.
 
         Every waveform between the projector and the hydrophone is a
@@ -713,36 +943,32 @@ class BackscatterLink:
         framing — and the noise stream advances exactly once per
         exchange, as in the uncached path, so a cached campaign is
         byte-identical to an uncached one.
-        """
-        fs = self.sample_rate
-        f = self.projector.carrier_hz
-        mode = self.node.firmware.config.resonance_mode
-        bitrate = self.node.bitrate
-        budget = self._leg_memo.get_or_compute(
-            ("budget", mode, bitrate), self.budget
-        )
 
-        powered = self.node.try_power_up(budget.incident_pressure_pa, f)
+        The stage spans are those of :meth:`_run_stages`, tagged by
+        :meth:`_stage`; the noise draw, per-exchange work, runs under
+        ``link.hydrophone_dsp`` with the demodulation it feeds.
+        """
+        f = self.projector.carrier_hz
+        node = self.node
+        memo = self._leg_memo
+        mode = node.firmware.config.resonance_mode
+        bitrate = node.bitrate
+        budget_key = ("budget", mode, bitrate)
+        source = "recalled" if budget_key in memo else "computed"
+        with self._stage(tracer, "link.node", source, phase="power_up") as sp:
+            budget = memo.get_or_compute(budget_key, self.budget)
+            powered = node.try_power_up(budget.incident_pressure_pa, f)
+            sp.set(powered_up=powered)
         if not powered:
             return LinkResult(
                 powered_up=False, query_decoded=False, response=None,
                 demod=None, ber=float("nan"), snr_db=float("nan"), budget=budget,
             )
 
-        def compute_query_env() -> np.ndarray:
-            query_wave = self.projector.query_waveform(query, fs)
-            incident_query = self._node_incident(query_wave)
-            return envelope_detect(self._node_selective(incident_query), f, fs)
-
-        env = self._leg_memo.get_or_compute(
-            ("downlink", query, mode), compute_query_env
-        )
-        # The PWM decode is pure DSP on the memoized envelope (the node
-        # is powered and unledgered here, and the PWM code is fixed at
-        # construction), so its result is memoized under the same key.
-        decoded_query = self._leg_memo.get_or_compute(
-            ("downlink_decode", query, mode),
-            lambda: self.node.receive_query(env, fs),
+        decoded_query = self._recall(
+            tracer, ("downlink_decode", query, mode),
+            lambda stage: self._decode_query(query, stage),
+            self._QUERY_STAGES,
         )
         if decoded_query is None:
             return LinkResult(
@@ -750,67 +976,70 @@ class BackscatterLink:
                 demod=None, ber=float("nan"), snr_db=float("nan"), budget=budget,
             )
 
-        response = self.node.respond(decoded_query)
-        if response is None:
-            return LinkResult(
-                powered_up=True, query_decoded=True, response=None,
-                demod=None, ber=float("nan"), snr_db=float("nan"),
-                budget=budget,
-            )
-        chips = self.node.uplink_chips(response)
+        with self._stage(tracer, "link.node", "computed", phase="respond") as sp:
+            response = node.respond(decoded_query)
+            if response is None:
+                return LinkResult(
+                    powered_up=True, query_decoded=True, response=None,
+                    demod=None, ber=float("nan"), snr_db=float("nan"),
+                    budget=budget,
+                )
+            chips = node.uplink_chips(response)
+            sp.set(chips=len(chips))
         # Re-read after respond(): SET_BITRATE / SET_RESONANCE_MODE take
         # effect mid-exchange, and the reply already ships under the new
         # setting (the uncached path reads both inside the uplink stage),
         # so the uplink leg must be keyed by the post-command values.
-        bitrate = self.node.bitrate
-        mode = self.node.firmware.config.resonance_mode
+        bitrate = node.bitrate
+        mode = node.firmware.config.resonance_mode
+
+        def uplink_leg(stage) -> UplinkLeg:
+            carrier = self._recall(
+                tracer, ("carrier", query, len(chips), bitrate, mode),
+                lambda st: self._carrier_leg(query, len(chips), bitrate, mode, st),
+                self._CARRIER_STAGES,
+            )
+            return self._uplink_leg(carrier, chips, bitrate, stage)
 
         uplink_key = ("uplink", query, chips.tobytes(), bitrate, mode)
-        quiet_mixture, analysis_start = self._leg_memo.get_or_compute(
-            uplink_key,
-            lambda: self._finish_uplink_leg(
-                self._leg_memo.get_or_compute(
-                    ("carrier", query, len(chips), bitrate),
-                    lambda: self._carrier_leg(query, len(chips), bitrate),
-                ),
-                chips,
-                bitrate,
-            ),
+        leg = self._recall(
+            tracer, uplink_key, uplink_leg,
+            self._CARRIER_STAGES + self._TAIL_STAGES,
         )
-        self.node.firmware.response_sent()
+        node.firmware.response_sent()
 
-        uplink_format = self.node.firmware.config.uplink_format
-        demod = None
+        uplink_format = node.firmware.config.uplink_format
         hint = self._batch_hints.pop(
             (uplink_key, self._noise_token()), None
         ) if self._batch_hints else None
-        if hint is not None:
-            # The batched prepass already ran this exact exchange tail:
-            # same quiet mixture, same noise-stream position.  Reuse its
-            # demodulation verbatim and advance the noise RNG to where
-            # drawing the samples would have left it — byte-identical to
-            # the inline path, which the prepass computed with the same
-            # primitives on the same inputs.
-            noise_after, demod = hint
-            self.noise.restore_state(noise_after)
-        else:
-            mixture = quiet_mixture + self.noise.generate(
-                len(quiet_mixture), fs
+        with self._stage(
+            tracer, "link.hydrophone_dsp",
+            "computed" if hint is None else "batched", samples=leg.total,
+        ) as sp:
+            if hint is not None:
+                # The batched prepass already ran this exact exchange
+                # tail: same quiet mixture, same noise-stream position.
+                # Reuse its demodulation verbatim and advance the noise
+                # RNG to where drawing the samples would have left it —
+                # byte-identical to the inline path, which the prepass
+                # computed with the same primitives on the same inputs.
+                noise_after, demod = hint
+                self.noise.restore_state(noise_after)
+            else:
+                demod = self.hydrophone.demodulate(
+                    self._record_tail(leg),
+                    f,
+                    bitrate,
+                    packet_format=uplink_format,
+                    detection_threshold=self.DETECTION_THRESHOLD,
+                )
+            true_bits = response.to_packet().to_bits(uplink_format)
+            ber = (
+                bit_error_rate(demod.bits, true_bits)
+                if len(demod.bits)
+                else float("nan")
             )
-            recording = self.hydrophone.record(mixture)
-            demod = self.hydrophone.demodulate(
-                recording[analysis_start:],
-                f,
-                bitrate,
-                packet_format=uplink_format,
-                detection_threshold=self.DETECTION_THRESHOLD,
-            )
-        true_bits = response.to_packet().to_bits(uplink_format)
-        ber = (
-            bit_error_rate(demod.bits, true_bits)
-            if len(demod.bits)
-            else float("nan")
-        )
+            sp.set(crc_ok=demod.success, snr_db=demod.snr_db)
         return LinkResult(
             powered_up=True,
             query_decoded=True,
@@ -822,14 +1051,19 @@ class BackscatterLink:
         )
 
     def _run_stages(self, query: Query, tracer, probes) -> LinkResult:
-        if self._memo_active(tracer, probes):
-            return self._run_stages_cached(query)
+        """The exchange computed stage by stage, every intermediate real.
+
+        Taken when :meth:`_memo_active` refuses the memo: caching is
+        off, probes capture each stage's waveforms, or a ledgered node
+        books real dwells.
+        """
         fs = self.sample_rate
         f = self.projector.carrier_hz
+        stage = partial(self._stage, tracer, source="computed")
         budget = self.budget()
 
         # 1. Power-up check from the downlink illumination.
-        with tracer.span("link.node", phase="power_up") as sp:
+        with stage("link.node", phase="power_up") as sp:
             powered = self.node.try_power_up(budget.incident_pressure_pa, f)
             sp.set(powered_up=powered)
         if probes.wants("link.node"):
@@ -846,7 +1080,7 @@ class BackscatterLink:
             )
 
         # 2. Node-side query decode (waveform level).
-        with tracer.span("link.pwm_synthesis", segment="query") as sp:
+        with stage("link.pwm_synthesis", segment="query") as sp:
             query_wave = self.projector.query_waveform(query, fs)
             sp.set(samples=len(query_wave))
         if probes.wants("link.pwm_synthesis"):
@@ -854,7 +1088,7 @@ class BackscatterLink:
                 "link.pwm_synthesis", "query_waveform",
                 waveform=query_wave, sample_rate=fs, segment="query",
             )
-        with tracer.span(
+        with stage(
             "link.downlink_propagation", segment="query", samples=len(query_wave)
         ):
             incident_query = self._node_incident(query_wave)
@@ -865,7 +1099,7 @@ class BackscatterLink:
                 waveform=incident_query, sample_rate=fs, segment="query",
                 band_snr_db=band_snr_db(incident_query, fs, lo, hi),
             )
-        with tracer.span("link.node", phase="decode_query") as sp:
+        with stage("link.node", phase="decode_query") as sp:
             env = envelope_detect(
                 self._node_selective(incident_query), f, fs
             )
@@ -884,7 +1118,7 @@ class BackscatterLink:
             )
 
         # 3. Execute the command; build the reply.
-        with tracer.span("link.node", phase="respond") as sp:
+        with stage("link.node", phase="respond") as sp:
             response = self.node.respond(decoded_query)
             if response is None:
                 return LinkResult(
@@ -904,7 +1138,7 @@ class BackscatterLink:
         uplink_s = len(chips) / chip_rate + self.UPLINK_MARGIN_S
 
         # 4. Full transmission and physical propagation.
-        with tracer.span("link.pwm_synthesis", segment="query_then_carrier") as sp:
+        with stage("link.pwm_synthesis", segment="query_then_carrier") as sp:
             tx, uplink_start = self.projector.query_then_carrier(
                 query, uplink_s, fs
             )
@@ -915,7 +1149,7 @@ class BackscatterLink:
                 waveform=tx, sample_rate=fs, segment="query_then_carrier",
                 uplink_start=int(uplink_start),
             )
-        with tracer.span(
+        with stage(
             "link.downlink_propagation", segment="carrier", samples=len(tx)
         ):
             incident = self._node_incident(tx)
@@ -926,12 +1160,8 @@ class BackscatterLink:
                 waveform=incident, sample_rate=fs, segment="carrier",
                 band_snr_db=band_snr_db(incident, fs, lo, hi),
             )
-        with tracer.span("link.node", phase="backscatter", chips=len(chips)):
-            delay_pn = int(round(self.ch_projector_node.direct_path.delay_s * fs))
-            # The node waits half the margin after the query before replying.
-            reply_start = (
-                uplink_start + delay_pn + int(self.UPLINK_MARGIN_S / 2 * fs)
-            )
+        reply_start, analysis_start = self._leg_offsets(uplink_start)
+        with stage("link.node", phase="backscatter", chips=len(chips)):
             reflected = self._backscatter_waveform(incident, chips, reply_start)
             self.node.firmware.response_sent()
         if probes.wants("link.node"):
@@ -942,10 +1172,8 @@ class BackscatterLink:
             )
 
         # 5. Hydrophone mixture: direct + backscatter + noise.
-        with tracer.span("link.uplink_propagation", samples=len(tx)):
-            direct = self.beam_gain_hydrophone * self.ch_projector_hydrophone.apply(
-                tx, include_noise=False
-            ).waveform
+        with stage("link.uplink_propagation", samples=len(tx)):
+            direct = self._direct_arrival(tx)
             uplink = self.ch_node_hydrophone.apply(
                 reflected, include_noise=False
             ).waveform
@@ -971,19 +1199,10 @@ class BackscatterLink:
 
         # 6. Receiver decode: skip the query portion of the recording (the
         # PWM edges would confuse the modulation extractor), as the
-        # paper's offline decoder does by segmenting on the FFT energy.
-        with tracer.span("link.hydrophone_dsp", samples=len(mixture)) as sp:
+        # paper's offline decoder does by segmenting on the FFT energy
+        # (analysis_start, see _leg_offsets).
+        with stage("link.hydrophone_dsp", samples=len(mixture)) as sp:
             recording = self.hydrophone.record(mixture)
-            # Analyse from after the carrier's turn-on edge has settled at
-            # the hydrophone (the edge is a huge amplitude step that would
-            # dominate the modulation-axis estimate) but before the node's
-            # reply begins at margin/2.
-            delay_ph = int(
-                round(self.ch_projector_hydrophone.direct_path.delay_s * fs)
-            )
-            analysis_start = (
-                uplink_start + delay_ph + int(0.3 * self.UPLINK_MARGIN_S * fs)
-            )
             uplink_format = self.node.firmware.config.uplink_format
             demod = self.hydrophone.demodulate(
                 recording[analysis_start:],
@@ -1039,8 +1258,7 @@ class BackscatterLink:
         uplink_s = len(chips) / chip_rate + self.UPLINK_MARGIN_S
         tx, uplink_start = self.projector.query_then_carrier(query, uplink_s, fs)
         incident = self._node_incident(tx)
-        delay_pn = int(round(self.ch_projector_node.direct_path.delay_s * fs))
-        reply_start = uplink_start + delay_pn + int(self.UPLINK_MARGIN_S / 2 * fs)
+        reply_start, analysis_start = self._leg_offsets(uplink_start)
         reflected = self._backscatter_waveform(incident, chips, reply_start)
         self.node.firmware.response_sent()
         direct = self.ch_projector_hydrophone.apply(tx, include_noise=False).waveform
@@ -1051,10 +1269,6 @@ class BackscatterLink:
         mixture[: len(uplink)] += uplink
         mixture += self.noise.generate(n, fs)
         recording = self.hydrophone.record(mixture)
-        delay_ph = int(round(self.ch_projector_hydrophone.direct_path.delay_s * fs))
-        analysis_start = (
-            uplink_start + delay_ph + int(0.3 * self.UPLINK_MARGIN_S * fs)
-        )
         fmt = self.node.firmware.config.uplink_format
         dem = self.hydrophone.demodulator(f, self.node.bitrate, packet_format=fmt)
         baseband, _cfo = dem.to_baseband(recording[analysis_start:])
@@ -1114,9 +1328,7 @@ class BackscatterLink:
                 break
             gamma_t[a : min(b, len(incident))] = g
         reflected = np.real(gamma_t * hilbert(incident))
-        direct = self.beam_gain_hydrophone * self.ch_projector_hydrophone.apply(
-            tx, include_noise=False
-        ).waveform
+        direct = self._direct_arrival(tx)
         uplink = self.ch_node_hydrophone.apply(reflected, include_noise=False).waveform
         n = max(len(direct), len(uplink))
         mixture = np.zeros(n)

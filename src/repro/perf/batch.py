@@ -16,13 +16,15 @@ Architecture — a predictive prepass, not a parallel executor
 sequential loop.  Once every ``window`` rounds it plans the coming
 *window* of rounds in one shot:
 
-* **Plan** (phase A): for each pollable address, dry-run the
-  deterministic half of every exchange the node will run this window —
-  power-up, query decode, command execution, reply framing — against
-  the link's own node, snapshotting the node + noise RNG state first
-  and restoring it after.  The dry run discovers exactly which leg-memo
-  keys each live exchange will need (downlink envelope, carrier leg,
-  uplink tail) and which are missing.  Planning a whole window is what
+* **Plan** (phase A): for each pollable address whose link takes the
+  leg memo, dry-run the deterministic half of every exchange the node
+  will run this window — power-up, query decode, command execution,
+  reply framing — against the link's own node, snapshotting the node +
+  noise RNG state first and restoring it after.  The dry run discovers
+  exactly which leg-memo keys each live exchange will need (query
+  decode, carrier leg, uplink tail) and which are missing; it runs with
+  tracing off, so a traced campaign shows it as one ``batch.prewarm``
+  span rather than as phantom node activity.  Planning a whole window is what
   defeats group fragmentation: a fleet's per-node analysis segments all
   have different lengths (different propagation delays), but the same
   node's segments across rounds are identical, so every batched stage
@@ -31,7 +33,9 @@ sequential loop.  Once every ``window`` rounds it plans the coming
   kernels — stacked downlink envelopes through one band-pass/low-pass
   ``sosfiltfilt`` per group, one ``fftconvolve`` over an (N, samples)
   matrix per channel stage, one batched rfft/irfft for the re-radiation
-  filters — and seed the per-link leg memos with the results.  Every
+  filters — and seed the per-link leg memos with the results (an
+  envelope only feeds the query decode its dry run resumes with; the
+  memo keeps the decode).  Every
   batched primitive is bit-identical to its per-row form (asserted in
   ``tests/perf/test_batch.py``), so a seeded memo entry is
   indistinguishable from one the sequential path would have computed.
@@ -71,15 +75,13 @@ import numpy as np
 import scipy.fft
 from scipy.signal import fftconvolve, hilbert
 
-from repro.core.link import BackscatterLink
+from repro.core.link import BackscatterLink, CarrierLeg, UplinkLeg
 from repro.dsp.filters import butter_bandpass, butter_lowpass, envelope_detect
 from repro.dsp.sync import batched_preamble_correlation, correct_cfo, estimate_cfo
 from repro.dsp.waveforms import downconvert
 from repro.net.health import HealthState
 from repro.net.messages import Command, Query
-from repro.obs.probe import get_probes
-from repro.obs.trace import get_tracer
-from repro.perf.cache import cache_enabled
+from repro.obs.trace import Tracer, get_tracer, use_tracer
 
 
 def resolve_link(transact, *, max_depth: int = 16) -> BackscatterLink | None:
@@ -119,9 +121,8 @@ class _NodePlan:
     carrier_missing: bool = False
     uplink_missing: bool = False
     # Phase B scratch:
-    leg: tuple | None = None
-    mixture: np.ndarray | None = None
-    analysis_start: int = 0
+    leg: CarrierLeg | None = None
+    uplink: UplinkLeg | None = None
 
 
 @dataclass
@@ -148,7 +149,9 @@ class _NodeWindow:
     ``queries[k]`` is the query the node is predicted to receive in
     round ``k`` of the window, or ``None`` when the live round will skip
     the node entirely (quarantine backoff).  ``snapshot`` is held while
-    the dry run is paused waiting for its batched downlink envelope.
+    the dry run is paused waiting for its batched downlink envelope;
+    ``env_key`` names the query decode that envelope is for, and
+    ``env`` holds the envelope until the resumed dry run decodes it.
     """
 
     addr: int
@@ -159,6 +162,7 @@ class _NodeWindow:
     env_key: tuple | None = None
     env_band: tuple | None = None
     env_query: Query | None = None
+    env: np.ndarray | None = None
     plans: list = field(default_factory=list)
 
 
@@ -299,16 +303,27 @@ class BatchedLinkEngine:
 
         Returns the number of exchanges planned (0 on the in-window
         rounds that were already hinted).  Safe to call unconditionally:
-        bails out whenever the sequential path would not use the leg
-        memo — caching disabled, tracing or probing enabled — because
-        then there is nothing byte-identical to seed.  ``remaining``
-        caps the window at the campaign rounds actually left.
+        only links whose own exchanges take the leg memo
+        (``BackscatterLink._memo_active``) are planned, because nothing
+        else has byte-identical results to seed.  ``remaining`` caps the
+        window at the campaign rounds actually left.
+
+        A replan runs inside one ``batch.prewarm`` span of the global
+        tracer, with tracing off underneath: the dry run replays node
+        firmware that a trace must not show as extra exchanges.
         """
-        if not cache_enabled() or get_tracer().enabled or get_probes().enabled:
-            return 0
         if self._hinted_rounds > 0:
             self._hinted_rounds -= 1
             return 0
+        with get_tracer().span("batch.prewarm") as span, use_tracer(
+            Tracer(enabled=False)
+        ):
+            planned = self._prewarm_window(command, remaining)
+            span.set(planned=planned)
+        return planned
+
+    def _prewarm_window(self, command: Command, remaining: int | None) -> int:
+        """Plan, batch and demodulate one window; returns the plans made."""
         links = self.links()
         self._adapt_surplus(links)
         window = self.window
@@ -327,8 +342,7 @@ class BatchedLinkEngine:
                 self._batch_downlink_envelopes(pending)
             finally:
                 for w in pending:
-                    if w.env_key is not None and w.env_key in w.link._leg_memo:
-                        w.env_key = None
+                    if w.env is not None:
                         self._advance_window(w)
                     if w.snapshot is not None:
                         # Envelope never materialised (or the dry run
@@ -354,12 +368,13 @@ class BatchedLinkEngine:
         reader's *current* health state: quarantined nodes get a PING in
         the rounds where their probe backoff will have elapsed, healthy
         nodes get the campaign command every round.  Nodes the prepass
-        cannot predict — shard-quarantined, pending bitrate downgrades
-        (which splice an extra SET_BITRATE exchange in front of the
-        sensing poll), ledgered firmware, unresolvable transports — are
-        skipped; the sequential path computes them inline exactly as
-        before.  A prediction the campaign later contradicts (a node
-        fails mid-window, a probe succeeds) only wastes the stale hints.
+        cannot predict or serve — shard-quarantined, pending bitrate
+        downgrades (which splice an extra SET_BITRATE exchange in front
+        of the sensing poll), links whose exchanges skip the leg memo
+        (probed or ledgered), unresolvable transports — are skipped; the
+        sequential path computes them inline exactly as before.  A
+        prediction the campaign later contradicts (a node fails
+        mid-window, a probe succeeds) only wastes the stale hints.
         """
         reader = self.reader
         t = float(reader._round)
@@ -375,7 +390,7 @@ class BatchedLinkEngine:
             ):
                 continue
             link = links.get(addr)
-            if link is None or link.node.firmware.ledger is not None:
+            if link is None or not link._memo_active():
                 continue
             if health.state is HealthState.QUARANTINED:
                 queries = [
@@ -453,25 +468,26 @@ class BatchedLinkEngine:
             if not powered:
                 w.next_round += 1
                 continue
-            env_key = ("downlink", query, mode)
-            if env_key not in memo:
-                if w.env_key is not None:
-                    # Second distinct envelope in one window — the
-                    # single envelope batch has already run.  Abandon
-                    # the remaining rounds (they run inline).
-                    return False
-                lo, hi = link._node_band()
-                w.env_key = env_key
-                w.env_band = (max(lo, 1.0), min(hi, fs / 2.0 - 1.0))
-                w.env_query = query
-                return True
-            env = memo.get_or_compute(env_key, lambda: None)
             decode_key = ("downlink_decode", query, mode)
             if decode_key in memo:
                 decoded = memo.get_or_compute(decode_key, lambda: None)
-            else:
-                decoded = node.receive_query(env, fs)
+            elif w.env is not None and w.env_key == decode_key:
+                # Resumed with the batched envelope: decode it, as the
+                # live exchange would, and seed the memo with the result.
+                decoded = node.receive_query(w.env, fs)
                 memo.put(decode_key, decoded)
+                w.env = None
+            elif w.env_key is not None:
+                # Second distinct envelope in one window — the single
+                # envelope batch has already run.  Abandon the remaining
+                # rounds (they run inline).
+                return False
+            else:
+                lo, hi = link._node_band()
+                w.env_key = decode_key
+                w.env_band = (max(lo, 1.0), min(hi, fs / 2.0 - 1.0))
+                w.env_query = query
+                return True
             if decoded is None:
                 w.next_round += 1
                 continue
@@ -491,7 +507,7 @@ class BatchedLinkEngine:
             plan.uplink_key = (
                 "uplink", query, chips.tobytes(), bitrate, mode
             )
-            plan.carrier_key = ("carrier", query, len(chips), bitrate)
+            plan.carrier_key = ("carrier", query, len(chips), bitrate, mode)
             plan.uplink_missing = plan.uplink_key not in memo and not any(
                 p.uplink_key == plan.uplink_key for p in w.plans
             )
@@ -509,13 +525,14 @@ class BatchedLinkEngine:
     # -- phase B: batched legs ------------------------------------------------------
 
     def _batch_downlink_envelopes(self, pending: list) -> None:
-        """Stacked envelope detection for every missing downlink leg.
+        """Stacked envelope detection for every paused query decode.
 
         Per group of equal-shape rows this is one (N, samples) channel
         convolution, one band-pass, one rectify + low-pass — each
         bit-identical to the sequential per-row computation (the
         convolution is the very ``fftconvolve`` the channel applies,
-        handed the stacked matrix with ``axes=-1``).
+        handed the stacked matrix with ``axes=-1``).  Each envelope goes
+        to its window, whose resumed dry run decodes it.
         """
         rows = []
         for w in pending:
@@ -543,7 +560,7 @@ class BatchedLinkEngine:
             selective = butter_bandpass(incident, lo, hi, fs, order=2)
             envs = envelope_detect(selective, f, fs)
             for (w, _qw, _ir), env in zip(group, envs):
-                w.link._leg_memo.put(w.env_key, env)
+                w.env = env
                 self.stats.env_batched += 1
 
     def _batch_carrier_legs(self, plans: list) -> None:
@@ -601,27 +618,12 @@ class BatchedLinkEngine:
                 group, incidents, directs
             ):
                 link = plan.link
-                fs = link.sample_rate
-                delay_pn = int(
-                    round(link.ch_projector_node.direct_path.delay_s * fs)
-                )
-                reply_start = (
-                    uplink_start + delay_pn
-                    + int(link.UPLINK_MARGIN_S / 2 * fs)
-                )
-                analytic = hilbert(np.asarray(incident, dtype=float))
-                delay_ph = int(
-                    round(
-                        link.ch_projector_hydrophone.direct_path.delay_s * fs
-                    )
-                )
-                analysis_start = (
-                    uplink_start + delay_ph
-                    + int(0.3 * link.UPLINK_MARGIN_S * fs)
-                )
                 link._leg_memo.put(
                     plan.carrier_key,
-                    (analytic, direct, reply_start, analysis_start),
+                    link._slim_carrier(
+                        hilbert(np.asarray(incident, dtype=float)), direct,
+                        uplink_start, len(plan.chips), plan.bitrate, plan.mode,
+                    ),
                 )
                 self.stats.carriers_batched += 1
 
@@ -644,7 +646,7 @@ class BatchedLinkEngine:
             plan.leg = memo.get_or_compute(
                 plan.carrier_key,
                 lambda plan=plan: plan.link._carrier_leg(
-                    plan.query, len(plan.chips), plan.bitrate
+                    plan.query, len(plan.chips), plan.bitrate, plan.mode
                 ),
             )
             if not plan.uplink_missing:
@@ -652,13 +654,12 @@ class BatchedLinkEngine:
                 # earlier in the window: resolved after the batch below.
                 seen_inline.append(plan)
             elif link.node_velocity_mps:
-                mixture, start = memo.get_or_compute(
+                plan.uplink = memo.get_or_compute(
                     plan.uplink_key,
-                    lambda plan=plan: plan.link._finish_uplink_leg(
+                    lambda plan=plan: plan.link._uplink_leg(
                         plan.leg, plan.chips, plan.bitrate
                     ),
                 )
-                plan.mixture, plan.analysis_start = mixture, start
                 self.stats.tails_inline += 1
             else:
                 tails.append(plan)
@@ -666,7 +667,7 @@ class BatchedLinkEngine:
             groups = _grouped(
                 tails,
                 lambda p: (
-                    len(p.leg[0]), len(p.link.ch_node_hydrophone._impulse)
+                    len(p.leg.idle), len(p.link.ch_node_hydrophone._impulse)
                 ),
             )
             self.stats.groups["uplink_tail"] = (
@@ -675,11 +676,9 @@ class BatchedLinkEngine:
             for (n, _m), group in groups.items():
                 reflected = np.stack(
                     [
-                        np.real(
-                            p.link._gamma_trajectory(
-                                n, p.chips, p.leg[2], p.bitrate
-                            )
-                            * p.leg[0]
+                        p.link._reflected(
+                            p.leg.idle, p.leg.window, p.leg.reply_start,
+                            p.chips, p.bitrate,
                         )
                         for p in group
                     ]
@@ -694,28 +693,16 @@ class BatchedLinkEngine:
                 )
                 uplinks = fftconvolve(filtered, ir_nh, axes=-1)
                 for plan, uplink in zip(group, uplinks):
-                    direct = plan.leg[1]
-                    total = max(len(direct), len(uplink))
-                    mixture = np.zeros(total)
-                    mixture[: len(direct)] += direct
-                    mixture[: len(uplink)] += uplink
-                    plan.link._leg_memo.put(
-                        plan.uplink_key, (mixture, plan.leg[3])
-                    )
-                    plan.mixture = mixture
-                    plan.analysis_start = plan.leg[3]
+                    plan.uplink = plan.link._quiet_tail(plan.leg, uplink)
+                    plan.link._leg_memo.put(plan.uplink_key, plan.uplink)
                     self.stats.tails_batched += 1
         for plan in seen_inline:
-            mixture, start = plan.link._leg_memo.get_or_compute(
+            plan.uplink = plan.link._leg_memo.get_or_compute(
                 plan.uplink_key,
-                lambda plan=plan: plan.link._finish_uplink_leg(
+                lambda plan=plan: plan.link._uplink_leg(
                     plan.leg, plan.chips, plan.bitrate
                 ),
             )
-            plan.mixture, plan.analysis_start = mixture, start
-
-    # -- phase B2: batched demodulation ----------------------------------------------
-
 
     # -- phase B2: batched demodulation ----------------------------------------------
 
@@ -737,7 +724,6 @@ class BatchedLinkEngine:
         by_link = _grouped(plans, lambda p: id(p.link))
         for link_plans in by_link.values():
             link = link_plans[0].link
-            fs = link.sample_rate
             before_all = link.noise.snapshot_state()
             # The previous window's unconsumed hints are not stale:
             # a leftover at stream position p is exactly the decode
@@ -751,7 +737,7 @@ class BatchedLinkEngine:
             planned = 0
             try:
                 for plan in link_plans:
-                    if plan.mixture is None:
+                    if plan.uplink is None:
                         # No mixture means no live noise draw to mirror;
                         # later rounds' stream positions are unknowable.
                         break
@@ -763,17 +749,8 @@ class BatchedLinkEngine:
                         link.noise.restore_state(hint[0])
                         self.stats.demods_carried += 1
                         continue
-                    # The stream must advance by the full recording
-                    # length (live draws the whole mixture), but only
-                    # the analysis tail is ever demodulated — and
-                    # record() is elementwise, so slicing first is
-                    # bit-identical.
-                    noise = link.noise.generate(len(plan.mixture), fs)
+                    seg = link._record_tail(plan.uplink)
                     after = link.noise.snapshot_state()
-                    start = plan.analysis_start
-                    seg = link.hydrophone.record(
-                        plan.mixture[start:] + noise[start:]
-                    )
                     dem = link.hydrophone.demodulator(
                         link.projector.carrier_hz,
                         plan.bitrate,

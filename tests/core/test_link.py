@@ -18,6 +18,8 @@ def make_link(
     bitrate=1_000.0,
     environment=None,
     channel=None,
+    modes=1,
+    velocity=0.0,
 ):
     transducer = Transducer.from_cylinder_design()
     f = channel if channel is not None else transducer.resonance_hz
@@ -26,7 +28,7 @@ def make_link(
     )
     node = PABNode(
         address=7,
-        channel_frequencies_hz=(f,),
+        channel_frequencies_hz=tuple(f * (1.0 - 0.04 * m) for m in range(modes)),
         bitrate=bitrate,
         environment=environment,
     )
@@ -37,6 +39,7 @@ def make_link(
         node,
         Position(0.5 + node_distance, 1.5, 0.6),
         Position(1.0, 0.8, 0.6),
+        node_velocity_mps=velocity,
     )
 
 
@@ -176,3 +179,186 @@ class TestChannelReport:
         assert fast["node_to_hydrophone"]["delay_spread_chips"] > (
             slow["node_to_hydrophone"]["delay_spread_chips"]
         )
+
+
+def reference_uplink(link, query, chips, bitrate, mode, *, reply_shift=0):
+    """The quiet uplink mixture computed over the whole waveform.
+
+    The reflection trajectory spans the whole incident signal
+    (``gamma_t * analytic``), then re-radiation, the uplink channel and
+    the mixture with the direct carrier, all at full length; the result
+    is sliced at the analysis start.  Returns ``(tail, total,
+    analysis_start, incident length, reply_start)``.
+    """
+    from scipy.signal import hilbert
+
+    from repro.acoustics.doppler import apply_doppler
+    from repro.core.link import apply_reradiation_filter
+
+    fs = link.sample_rate
+    f = link.projector.carrier_hz
+    spc = fs / (2.0 * bitrate)
+    uplink_s = len(chips) / (2.0 * bitrate) + link.UPLINK_MARGIN_S
+    tx, uplink_start = link.projector.query_then_carrier(query, uplink_s, fs)
+    incident = (
+        link.beam_gain_node
+        * link.ch_projector_node.apply(tx, include_noise=False).waveform
+    )
+    n = len(incident)
+    delay_pn = int(round(link.ch_projector_node.direct_path.delay_s * fs))
+    reply_start = (
+        uplink_start + delay_pn + int(link.UPLINK_MARGIN_S / 2 * fs)
+        + reply_shift
+    )
+    gamma_a, gamma_r = link.node.bank.reflection_states(mode, f)
+    trajectory = np.where(np.asarray(chips).astype(bool), gamma_r, gamma_a)
+    gamma_t = np.full(n, complex(gamma_a))
+    for k, g in enumerate(trajectory):
+        a = reply_start + int(round(k * spc))
+        b = reply_start + int(round((k + 1) * spc))
+        if a >= n:
+            break
+        gamma_t[a : min(b, n)] = g
+    reflected = np.real(gamma_t * hilbert(incident))
+    reflected = apply_reradiation_filter(reflected, link.node.transducer, f, fs)
+    if link.node_velocity_mps:
+        moved = apply_doppler(reflected, link.node_velocity_mps, fs)
+        if len(moved) < len(reflected):
+            moved = np.pad(moved, (0, len(reflected) - len(moved)))
+        reflected = moved[: len(reflected)]
+    direct = (
+        link.beam_gain_hydrophone
+        * link.ch_projector_hydrophone.apply(tx, include_noise=False).waveform
+    )
+    uplink = link.ch_node_hydrophone.apply(reflected, include_noise=False).waveform
+    mixture = np.zeros(max(len(direct), len(uplink)))
+    mixture[: len(direct)] += direct
+    mixture[: len(uplink)] += uplink
+    delay_ph = int(round(link.ch_projector_hydrophone.direct_path.delay_s * fs))
+    start = uplink_start + delay_ph + int(0.3 * link.UPLINK_MARGIN_S * fs)
+    return mixture[start:], len(mixture), start, n, reply_start
+
+
+def _assert_leg_matches(leg, reference):
+    tail, total, start = reference[:3]
+    assert (leg.total, leg.analysis_start) == (total, start)
+    assert leg.tail.tobytes() == tail.tobytes()
+
+
+class TestSlimLegs:
+    """The memo's slim legs rebuild the analysed mixture bit for bit."""
+
+    def _slim(self, link, query, chips):
+        bitrate = link.node.bitrate
+        mode = link.node.firmware.config.resonance_mode
+        carrier = link._carrier_leg(query, len(chips), bitrate, mode)
+        return carrier, link._uplink_leg(carrier, chips, bitrate)
+
+    def test_chip_patterns(self):
+        link = make_link(bitrate=2_000.0)
+        link.node.force_power(True)
+        query = Query(destination=7, command=Command.READ_PH)
+        reply = link.node.uplink_chips(link.node.respond(query))
+        rng = np.random.default_rng(3)
+        for chips in (
+            reply,
+            np.ones_like(reply),
+            np.zeros_like(reply),
+            np.arange(len(reply)) % 2,
+            rng.integers(0, 2, len(reply)),
+            reply[:40],
+        ):
+            _carrier, leg = self._slim(link, query, chips)
+            _assert_leg_matches(
+                leg,
+                reference_uplink(
+                    link, query, chips, link.node.bitrate,
+                    link.node.firmware.config.resonance_mode,
+                ),
+            )
+
+    def test_reply_window_clipped_by_waveform_end(self):
+        link = make_link()
+        link.node.force_power(True)
+        chips = link.node.uplink_chips(link.node.respond(PING))
+        ref = reference_uplink(link, PING, chips, link.node.bitrate, 0)
+        n_incident, reply_start = ref[3], ref[4]
+        reply_len = int(round(len(chips) * link.sample_rate / (2.0 * link.node.bitrate)))
+        shift = n_incident - reply_start - reply_len // 2
+        offsets = link._leg_offsets
+        link._leg_offsets = lambda s: (offsets(s)[0] + shift, offsets(s)[1])
+        carrier, leg = self._slim(link, PING, chips)
+        assert 0 < len(carrier.window) < reply_len
+        _assert_leg_matches(
+            leg,
+            reference_uplink(
+                link, PING, chips, link.node.bitrate, 0, reply_shift=shift
+            ),
+        )
+
+    def test_doppler_drifting_node(self):
+        link = make_link(velocity=0.4)
+        link.node.force_power(True)
+        chips = link.node.uplink_chips(link.node.respond(PING))
+        _carrier, leg = self._slim(link, PING, chips)
+        _assert_leg_matches(
+            leg, reference_uplink(link, PING, chips, link.node.bitrate, 0)
+        )
+
+    def test_resonance_mode_switch_between_exchanges(self):
+        """Every uplink leg the memo holds matches the reference for
+        the mode in its key, across a SET_RESONANCE_MODE exchange."""
+        link = make_link(modes=2)
+        checked = set()
+        for query in (
+            PING,
+            Query(destination=7, command=Command.SET_RESONANCE_MODE, argument=1),
+            PING,
+            Query(destination=7, command=Command.SET_RESONANCE_MODE, argument=0),
+            PING,
+        ):
+            result = link.run_query(query)
+            assert result.response is not None
+            chips = link.node.uplink_chips(result.response)
+            bitrate = link.node.bitrate
+            mode = link.node.firmware.config.resonance_mode
+            key = ("uplink", query, chips.tobytes(), bitrate, mode)
+            _assert_leg_matches(
+                link._leg_memo._data[key],
+                reference_uplink(link, query, chips, bitrate, mode),
+            )
+            checked.add(mode)
+        assert checked == {0, 1}
+
+    def test_memo_footprint(self):
+        """After a short cached campaign the memo holds only what later
+        stages read: analysed uplink tails, reply-window analytic
+        samples, and no downlink envelope."""
+        from repro.core.link import CarrierLeg, UplinkLeg
+
+        link = make_link(bitrate=2_000.0)
+        queries = [
+            PING,
+            Query(destination=7, command=Command.READ_PH),
+            Query(destination=7, command=Command.READ_TEMPERATURE),
+        ]
+        for _ in range(3):
+            for query in queries:
+                assert link.run_query(query).success
+        entries = dict(link._leg_memo._data)
+        kinds = {key[0] for key in entries}
+        assert {"uplink", "carrier", "downlink_decode"} <= kinds
+        assert "downlink" not in kinds
+        spc = link.sample_rate / (2.0 * link.node.bitrate)
+        for key, value in entries.items():
+            if key[0] == "uplink":
+                assert isinstance(value, UplinkLeg)
+                assert len(value.tail) == value.total - value.analysis_start
+            elif key[0] == "carrier":
+                assert isinstance(value, CarrierLeg)
+                reply_len = int(round(key[2] * spc))
+                assert len(value.window) <= reply_len
+                assert value.idle.dtype == np.float64
+                for part in value:
+                    if isinstance(part, np.ndarray) and np.iscomplexobj(part):
+                        assert len(part) <= reply_len

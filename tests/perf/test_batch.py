@@ -15,9 +15,16 @@ import json
 import numpy as np
 import scipy.fft
 
+from repro.core import BackscatterLink
 from repro.faults import BrownoutInjector, EventLog, NoiseBurstInjector
 from repro.net import Command, ReaderController, Response, RetryPolicy
-from repro.obs import MetricsRegistry, metrics_to_prometheus
+from repro.obs import (
+    MetricsRegistry,
+    ProbeRegistry,
+    Tracer,
+    metrics_to_prometheus,
+    use_tracer,
+)
 from repro.perf.batch import resolve_link
 from repro.perf.kernels import (
     _OVERLAP_ADD_MIN_LEN,
@@ -313,6 +320,121 @@ class TestEngineEngagement:
         assert resolve_link(wrapped) is link
         assert resolve_link(_StubTransport(1)) is None
         assert resolve_link(lambda q: None) is None
+
+
+def _exchanges(tracer):
+    """``[(link.transact span, [spans beneath it])]`` in exchange order."""
+    by_id = {s.span_id: s for s in tracer.spans}
+
+    def transact_of(span):
+        while span.parent_id is not None:
+            span = by_id[span.parent_id]
+            if span.name == "link.transact":
+                return span
+        return None
+
+    beneath: dict = {}
+    for span in tracer.spans:
+        root = transact_of(span)
+        if root is not None:
+            beneath.setdefault(root.span_id, []).append(span)
+    roots = sorted(
+        (s for s in tracer.spans if s.name == "link.transact"),
+        key=lambda s: s.start_s,
+    )
+    return [(root, beneath.get(root.span_id, [])) for root in roots], transact_of
+
+
+def _assert_stages_traced(tracer):
+    """Every exchange shows the five stages, each tagged with a source,
+    and every exchange after a node's first recalls something."""
+    exchanges, _ = _exchanges(tracer)
+    assert exchanges
+    seen = set()
+    for root, spans in exchanges:
+        stage_spans = [s for s in spans if s.name in BackscatterLink.STAGES]
+        assert {s.name for s in stage_spans} == set(BackscatterLink.STAGES)
+        sources = {s.attrs["source"] for s in stage_spans}
+        assert sources <= {"computed", "recalled", "batched"}
+        node = root.attrs["destination"]
+        if node in seen:
+            assert "recalled" in sources
+        seen.add(node)
+
+
+class TestTracedCampaigns:
+    """Tracing observes the memoized exchange instead of replacing it."""
+
+    def test_per_link_tracer_digest_and_stages(self):
+        sequential = _campaign_digest(0, n=3, rounds=5)
+        tracer = Tracer()
+        transports = _waveform_transports(n=3)
+        for transact in transports.values():
+            resolve_link(transact).tracer = tracer
+        assert _campaign_digest(0, n=3, rounds=5, transports=transports) == sequential
+        _assert_stages_traced(tracer)
+
+    def test_global_tracer_digest_and_stages(self):
+        sequential = _campaign_digest(0, n=3, rounds=5)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = _campaign_digest(0, n=3, rounds=5)
+        assert traced == sequential
+        _assert_stages_traced(tracer)
+
+    def test_global_tracer_batch_campaign(self):
+        """A traced batch campaign still batches: its live exchanges
+        consume hints, and the planner's dry run stays out of the trace
+        (one ``batch.prewarm`` block per replan)."""
+        sequential = _campaign_digest(0, n=3, rounds=10)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            reader, log, metrics = _reader(
+                _waveform_transports(n=3), parallel="batch"
+            )
+            report = reader.run_campaign(Command.READ_PH, rounds=10)
+        assert campaign_digest(report, log, metrics) == sequential
+        assert reader._batch_engine.stats.demods_precomputed > 0
+        _assert_stages_traced(tracer)
+        assert any(
+            s.name == "link.hydrophone_dsp" and s.attrs["source"] == "batched"
+            for s in tracer.spans
+        )
+        assert any(s.name == "batch.prewarm" for s in tracer.spans)
+        _, transact_of = _exchanges(tracer)
+        for span in tracer.spans:
+            if span.name.startswith("node."):
+                assert transact_of(span) is not None, span.name
+
+    def test_probed_link_is_not_planned(self):
+        """A link with its own probe registry computes every stage for
+        real, so the batch engine must not plan (and waste) its hints."""
+        addr = 0x30 + 1
+
+        def probed_transports():
+            transports = _waveform_transports(n=3)
+            resolve_link(transports[addr]).probes = ProbeRegistry()
+            return transports
+
+        sequential = _campaign_digest(
+            0, n=3, rounds=10, transports=probed_transports()
+        )
+        transports = probed_transports()
+        reader, log, metrics = _reader(transports, parallel="batch")
+        engine = reader._batch_engine
+        planned = set()
+        plan_windows = engine._plan_windows
+
+        def spy(*args):
+            windows = plan_windows(*args)
+            planned.update(w.addr for w in windows)
+            return windows
+
+        engine._plan_windows = spy
+        report = reader.run_campaign(Command.READ_PH, rounds=10)
+        assert campaign_digest(report, log, metrics) == sequential
+        assert planned and addr not in planned
+        assert resolve_link(transports[addr])._batch_hints == {}
 
 
 class TestBatchedKernelIdentity:
