@@ -22,8 +22,8 @@ import pathlib
 import sys
 
 CANONICAL_HEADER = (
-    "smoke,nodes,rounds,seed,parallel,sequential_s,cached_s,"
-    "parallel_s,batch_s,speedup_cached,speedup_total,speedup_batch,"
+    "smoke,nodes,rounds,seed,sequential_s,cached_s,"
+    "batch_s,speedup_cached,speedup_batch,"
     "frac_pwm_synthesis,frac_downlink_propagation,frac_node,"
     "frac_uplink_propagation,frac_hydrophone_dsp"
 )

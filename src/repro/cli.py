@@ -22,12 +22,12 @@ Lets a user drive the reproduction without writing code:
 * ``tail`` — render a ``--stream-out`` telemetry stream: one line per
   round (delivery, SoC, SLO burn, health churn), live with
   ``--follow``; rebuilds the exact campaign timeline from the stream.
-* ``bench``    — sequential vs cached vs parallel campaign benchmark
-  with the perf-regression gate (``--compare``).
+* ``bench``    — uncached vs cached vs batch campaign benchmark with
+  the perf-regression gate (``--compare``).
 * ``profile``  — deterministic campaign profiler: per-stage wall/CPU
-  attribution, per-worker busy/idle + GIL proxy, cache time-saved,
-  tracemalloc high-water, and byte-deterministic collapsed-stack /
-  speedscope flamegraphs (``--flame-out``).
+  attribution, cache time-saved, batched-engine counters, tracemalloc
+  high-water, and byte-deterministic collapsed-stack / speedscope
+  flamegraphs (``--flame-out``).
 * ``fig3``     — print the recto-piezo tuning curves.
 * ``fig7``     — print the BER-SNR table.
 * ``fig8``     — print the SNR-vs-bitrate table (waveform level; slower).
@@ -437,8 +437,8 @@ def _make_chaos_reader(nodes: int, seed: int, window: int, inject_noise=None):
     )
     slo = SLOTracker(window=window)
     metrics = MetricsRegistry()
-    # Registered here (not per-command) so every execution mode --
-    # fleet-report, resume, parallel -- carries the identical
+    # Registered here (not per-command) so every command that builds
+    # this fleet -- fleet-report, resume -- carries the identical
     # pab_build_info sample and campaign digests stay byte-identical.
     set_build_info(metrics)
     reader = ReaderController(
@@ -1030,7 +1030,8 @@ def _build_bench_fleet(nodes: int, seed: int, bitrate: float):
 
 
 def _bench_campaign(nodes: int, rounds: int, seed: int, bitrate: float,
-                    parallel: int, kill_at: tuple[int, int] | None = None,
+                    parallel: int | str,
+                    kill_at: tuple[int, int] | None = None,
                     transports=None, reader_sink: list | None = None):
     """One timed campaign on a fresh fleet; returns ``(seconds, digest)``.
 
@@ -1127,29 +1128,15 @@ def _bench_stage_breakdown(seed: int, bitrate: float, repeats: int = 5) -> dict:
     }
 
 
-def _baseline_modes(baseline: dict) -> list[tuple[str, str]]:
-    """``(mode-name, speedup-key)`` pairs a baseline record carries.
-
-    Old baselines predate the batched engine and only recorded the
-    thread-pool speedup under ``speedup_total``; naming the mode in
-    every gate line keeps a mixed-history ``BENCH_perf.json`` readable.
-    """
-    modes = []
-    if baseline.get("speedup_total") is not None:
-        modes.append((f"threads x{baseline.get('parallel')}", "speedup_total"))
-    if baseline.get("speedup_batch") is not None:
-        modes.append(("batch", "speedup_batch"))
-    return modes
-
-
 def _bench_gate(current: dict, baseline: dict, threshold: float) -> list[str]:
     """Regression verdicts for ``current`` vs ``baseline`` (empty = pass).
 
     A stage regresses when its wall-clock *fraction* grows by more than
     ``threshold`` relative plus a 5-point absolute floor (small stages
-    jitter); the end-to-end speedup of each mode the baseline recorded
-    (threads, batch) regresses when it drops more than ``threshold``
-    below the baseline's.  Every verdict names the mode it gates.
+    jitter); the batched engine's end-to-end speedup regresses when it
+    drops more than ``threshold`` below the baseline's.  Records from
+    before the batched engine carry no ``speedup_batch`` and gate the
+    stage fractions only.
     """
     failures = []
     for name, base in baseline.get("stages", {}).items():
@@ -1165,24 +1152,23 @@ def _bench_gate(current: dict, baseline: dict, threshold: float) -> list[str]:
     # Smoke campaigns are six mostly-cold transactions; their end-to-end
     # speedup hovers near 1x and swings with runner load, so only the
     # stage fractions gate smoke runs.
-    if not baseline.get("smoke"):
-        for mode, key in _baseline_modes(baseline):
-            base_speedup = baseline.get(key)
-            cur_speedup = current.get(key)
-            if not base_speedup or cur_speedup is None:
-                continue
-            floor = base_speedup * (1.0 - threshold)
-            if cur_speedup < floor:
-                failures.append(
-                    f"{mode}: speedup {cur_speedup:.2f}x < "
-                    f"allowed {floor:.2f}x (baseline {base_speedup:.2f}x)"
-                )
+    base_speedup = baseline.get("speedup_batch")
+    if base_speedup and not baseline.get("smoke"):
+        cur_speedup = current["speedup_batch"]
+        floor = base_speedup * (1.0 - threshold)
+        if cur_speedup < floor:
+            failures.append(
+                f"batch: speedup {cur_speedup:.2f}x < "
+                f"allowed {floor:.2f}x (baseline {base_speedup:.2f}x)"
+            )
     return failures
 
 
 def _load_bench_baseline(path, smoke: bool):
     """The latest gate-matching record in a ``BENCH_perf.json`` baseline.
 
+    ``repro profile --out`` records (``"benchmark": "profile"``) are
+    skipped: their speedups are over cached, not uncached, sequential.
     Returns ``(record, None)`` on success or ``(None, reason)`` — one
     clear line instead of a traceback for every way the baseline file
     can be missing or wrong.
@@ -1199,6 +1185,7 @@ def _load_bench_baseline(path, smoke: bool):
     matching = [
         r for r in data["records"]
         if isinstance(r, dict) and r.get("smoke") == smoke
+        and r.get("benchmark") != "profile"
     ]
     if not matching:
         return None, f"no baseline record with smoke={smoke} in {path}"
@@ -1212,18 +1199,12 @@ def _load_bench_baseline(path, smoke: bool):
 
 
 def _cmd_bench(args) -> int:
-    """Sequential vs cached vs parallel campaign benchmark + perf gate."""
+    """Uncached vs cached vs batch campaign benchmark + perf gate."""
     from repro.core.experiment import ExperimentTable
     from repro.perf import cache_stats, caching_disabled, clear_all_caches
 
-    import os
-
     nodes = args.nodes if args.nodes is not None else (2 if args.smoke else 10)
     rounds = args.rounds if args.rounds is not None else (3 if args.smoke else 20)
-    if args.parallel is None:
-        # Thread width beyond the core count only buys GIL thrash on
-        # this CPU-bound workload.
-        args.parallel = max(1, min(4, os.cpu_count() or 1))
     kill_at = None
     if args.kill_at:
         try:
@@ -1244,10 +1225,7 @@ def _cmd_bench(args) -> int:
             return 2
         _emit(f"injected slowdown: {args.inject}")
     try:
-        _emit(
-            f"bench: {nodes} nodes x {rounds} rounds, seed {args.seed}, "
-            f"parallel width {args.parallel}"
-        )
+        _emit(f"bench: {nodes} nodes x {rounds} rounds, seed {args.seed}")
         clear_all_caches()
         with caching_disabled():
             seq_s, seq_digest, _ = _bench_campaign(
@@ -1256,17 +1234,11 @@ def _cmd_bench(args) -> int:
             )
         _emit(f"sequential (no caches): {seq_s:.2f} s")
         clear_all_caches()
-        cached_s, cached_digest, _ = _bench_campaign(
+        cached_s, cached_digest, report = _bench_campaign(
             nodes, rounds, args.seed, args.bitrate, parallel=0,
             kill_at=kill_at,
         )
         _emit(f"cached:                 {cached_s:.2f} s")
-        clear_all_caches()
-        par_s, par_digest, report = _bench_campaign(
-            nodes, rounds, args.seed, args.bitrate, parallel=args.parallel,
-            kill_at=kill_at,
-        )
-        _emit(f"cached + threads:       {par_s:.2f} s")
         clear_all_caches()
         batch_sink: list = []
         batch_s, batch_digest, _ = _bench_campaign(
@@ -1276,9 +1248,7 @@ def _cmd_bench(args) -> int:
         _emit(f"cached + batch:         {batch_s:.2f} s")
         engine = getattr(batch_sink[0], "_batch_engine", None)
         batch_stats = engine.stats.as_dict() if engine is not None else {}
-        identical = (
-            seq_digest == cached_digest == par_digest == batch_digest
-        )
+        identical = seq_digest == cached_digest == batch_digest
         stats = cache_stats()
         stages = _bench_stage_breakdown(args.seed, args.bitrate)
     finally:
@@ -1293,13 +1263,10 @@ def _cmd_bench(args) -> int:
         "rounds": rounds,
         "seed": args.seed,
         "bitrate": args.bitrate,
-        "parallel": args.parallel,
         "sequential_s": round(seq_s, 4),
         "cached_s": round(cached_s, 4),
-        "parallel_s": round(par_s, 4),
         "batch_s": round(batch_s, 4),
         "speedup_cached": round(seq_s / cached_s, 3),
-        "speedup_total": round(seq_s / par_s, 3),
         "speedup_batch": round(seq_s / batch_s, 3),
         "batch": batch_stats,
         "identical": identical,
@@ -1324,7 +1291,6 @@ def _cmd_bench(args) -> int:
     )
     table.add_row("sequential", record["sequential_s"], 1.0)
     table.add_row("cached", record["cached_s"], record["speedup_cached"])
-    table.add_row("cached+threads", record["parallel_s"], record["speedup_total"])
     table.add_row("cached+batch", record["batch_s"], record["speedup_batch"])
     _table(table.to_text())
     breakdown = ExperimentTable(
@@ -1351,11 +1317,11 @@ def _cmd_bench(args) -> int:
         if failures:
             status = 1
         else:
-            gated = ", ".join(
-                f"{mode} {record[key]:.2f}x"
-                for mode, key in _baseline_modes(baseline)
-                if record.get(key) is not None
-            ) or "stage fractions only"
+            gated = (
+                f"batch {record['speedup_batch']:.2f}x"
+                if baseline.get("speedup_batch") and not baseline.get("smoke")
+                else "stage fractions only"
+            )
             _emit(
                 f"perf gate passed vs baseline ({gated}, "
                 f"threshold {args.fail_threshold:.0%})"
@@ -1379,16 +1345,15 @@ def _cmd_bench(args) -> int:
     if args.trend_out:
         path = _ensure_parent(args.trend_out)
         header = (
-            "smoke,nodes,rounds,seed,parallel,sequential_s,cached_s,"
-            "parallel_s,batch_s,speedup_cached,speedup_total,speedup_batch,"
+            "smoke,nodes,rounds,seed,sequential_s,cached_s,"
+            "batch_s,speedup_cached,speedup_batch,"
             + ",".join(f"frac_{n.split('.')[-1]}" for n in record["stages"])
         )
         row = ",".join(
             str(v) for v in (
-                int(record["smoke"]), nodes, rounds, args.seed, args.parallel,
+                int(record["smoke"]), nodes, rounds, args.seed,
                 record["sequential_s"], record["cached_s"],
-                record["parallel_s"], record["batch_s"],
-                record["speedup_cached"], record["speedup_total"],
+                record["batch_s"], record["speedup_cached"],
                 record["speedup_batch"],
             )
         ) + "," + ",".join(
@@ -1445,11 +1410,9 @@ def _cmd_profile(args) -> int:
        measured per-stage wall/CPU attribution;
     3. a cached sequential campaign with miss-cost timing — the
        per-cache time-saved estimates;
-    4. the same campaign on the thread pool — per-worker busy/idle,
-       queue wait, and the CPU/wall GIL-contention proxy.
+    4. the same campaign through the batched engine — its window, plan
+       and group counters, digest-checked against pass 3.
     """
-    import os
-
     from repro.core.experiment import ExperimentTable
     from repro.core.link import BackscatterLink
     from repro.net.messages import Command, Query
@@ -1469,21 +1432,16 @@ def _cmd_profile(args) -> int:
     nodes = args.nodes if args.nodes is not None else (2 if args.smoke else 10)
     rounds = args.rounds if args.rounds is not None else (3 if args.smoke else 20)
     repeats = args.repeats if args.repeats is not None else (2 if args.smoke else 5)
-    if args.parallel is None:
-        args.parallel = max(1, min(4, os.cpu_count() or 1))
-    _emit(
-        f"profile: {nodes} nodes x {rounds} rounds, seed {args.seed}, "
-        f"parallel width {args.parallel}"
-    )
+    _emit(f"profile: {nodes} nodes x {rounds} rounds, seed {args.seed}")
 
     # Pass 1 — deterministic attribution: the campaign under a unit-tick
     # VirtualClock.  Span timestamps are integers fixed by the seed, so
     # the flamegraph files are byte-identical across runs; per-round
-    # tracemalloc marks ride on the profiler's merge-side snapshots.
+    # tracemalloc marks ride on the profiler's per-round snapshots.
     clear_all_caches()
     tracer = Tracer(clock=VirtualClock(tick=1.0))
     flame_profiler = CampaignProfiler(memory=True)
-    _emit("pass 1/5: virtual-clock campaign (flamegraph + memory)")
+    _emit("pass 1/4: virtual-clock campaign (flamegraph + memory)")
     with use_tracer(tracer), use_profiler(flame_profiler):
         _bench_campaign(
             nodes, rounds, args.seed, args.bitrate, parallel=0
@@ -1523,7 +1481,7 @@ def _cmd_profile(args) -> int:
     # seeded exchange traced once per repeat under a perf_counter
     # tracer, then under a thread_time tracer (identical structure, so
     # the passes join by stage name).
-    _emit(f"pass 2/5: measured stage costs ({repeats} traced exchanges x2)")
+    _emit(f"pass 2/4: measured stage costs ({repeats} traced exchanges x2)")
     warm = _build_bench_fleet(1, args.seed, args.bitrate)
     ((warm_addr, warm_transact),) = warm.items()
     with caching_disabled():
@@ -1548,7 +1506,7 @@ def _cmd_profile(args) -> int:
     seq_transports = _build_bench_fleet(nodes, args.seed, args.bitrate)
     stats_before = cache_stats()
     seq_profiler = CampaignProfiler()
-    _emit("pass 3/5: cached sequential campaign (cache savings)")
+    _emit("pass 3/4: cached sequential campaign (cache savings)")
     with use_profiler(seq_profiler):
         seq_s, seq_digest, _ = _bench_campaign(
             nodes, rounds, args.seed, args.bitrate, parallel=0,
@@ -1559,26 +1517,10 @@ def _cmd_profile(args) -> int:
     )
     del seq_transports
 
-    # Pass 4 — the same campaign on the thread pool: per-worker
-    # busy/idle, queue wait, and the CPU/wall GIL proxy.
-    clear_all_caches()
-    par_profiler = CampaignProfiler()
-    _emit(f"pass 4/5: threaded campaign (width {args.parallel})")
-    with use_profiler(par_profiler):
-        par_s, par_digest, _ = _bench_campaign(
-            nodes, rounds, args.seed, args.bitrate, parallel=args.parallel
-        )
-    workers = par_profiler.worker_report()
-    busy_total = sum(w["busy_s"] for w in workers.values())
-    gil_ratio = (
-        sum(w["cpu_s"] for w in workers.values()) / busy_total
-        if busy_total else 0.0
-    )
-
-    # Pass 5 — the same campaign through the batched PHY engine:
+    # Pass 4 — the same campaign through the batched PHY engine:
     # window/plan/group attribution from the engine's own counters.
     clear_all_caches()
-    _emit("pass 5/5: batched campaign (engine attribution)")
+    _emit("pass 4/4: batched campaign (engine attribution)")
     batch_sink: list = []
     batch_s, batch_digest, _ = _bench_campaign(
         nodes, rounds, args.seed, args.bitrate, parallel="batch",
@@ -1587,8 +1529,8 @@ def _cmd_profile(args) -> int:
     engine = getattr(batch_sink[0], "_batch_engine", None)
     batch_stats = engine.stats.as_dict() if engine is not None else {}
 
-    if seq_digest != par_digest or seq_digest != batch_digest:
-        _emit("FAIL: sequential, threaded and batched campaigns disagree "
+    if seq_digest != batch_digest:
+        _emit("FAIL: sequential and batched campaigns disagree "
               "— reports are not byte-identical")
         return 1
 
@@ -1597,8 +1539,6 @@ def _cmd_profile(args) -> int:
         "hot_stage": hot,
         "hot_fraction": round(measured[hot]["fraction"], 4),
         "hot_cpu_wall_ratio": round(measured[hot]["cpu_wall_ratio"], 3),
-        "worker_gil_ratio": round(gil_ratio, 3),
-        "gil_bound": gil_ratio < 0.8,
     }
 
     summary = ExperimentTable(
@@ -1606,10 +1546,6 @@ def _cmd_profile(args) -> int:
         columns=("mode", "wall_s", "speedup"),
     )
     summary.add_row("sequential", round(seq_s, 4), 1.0)
-    summary.add_row(
-        f"threads x{args.parallel}", round(par_s, 4),
-        round(seq_s / par_s, 3),
-    )
     summary.add_row("batch", round(batch_s, 4), round(seq_s / batch_s, 3))
     _table(summary.to_text())
 
@@ -1623,18 +1559,6 @@ def _cmd_profile(args) -> int:
             entry["cpu_wall_ratio"], entry["fraction"],
         )
     _table(stage_tbl.to_text())
-
-    worker_tbl = ExperimentTable(
-        title="Worker attribution (parallel campaign)",
-        columns=("worker", "units", "busy_s", "queue_wait_s",
-                 "utilization", "cpu/wall"),
-    )
-    for name, w in workers.items():
-        worker_tbl.add_row(
-            name, w["units"], w["busy_s"], w["queue_wait_s"],
-            w["utilization"], w["gil_ratio"],
-        )
-    _table(worker_tbl.to_text())
 
     cache_tbl = ExperimentTable(
         title="Cache savings (cached sequential campaign)",
@@ -1670,12 +1594,6 @@ def _cmd_profile(args) -> int:
         f"hot stage: {hot} ({verdict['hot_fraction']:.0%} of transaction "
         f"wall, cpu/wall {verdict['hot_cpu_wall_ratio']:.2f})"
     )
-    _emit(
-        f"parallel workers: mean cpu/wall {gil_ratio:.2f} -> "
-        + ("GIL-bound (threads wait on the interpreter lock)"
-           if verdict["gil_bound"]
-           else "compute-bound (threads run mostly unblocked)")
-    )
 
     if args.out:
         record = {
@@ -1686,12 +1604,9 @@ def _cmd_profile(args) -> int:
             "rounds": rounds,
             "seed": args.seed,
             "bitrate": args.bitrate,
-            "parallel": args.parallel,
             "repeats": repeats,
             "cached_s": round(seq_s, 4),
-            "parallel_s": round(par_s, 4),
             "batch_s": round(batch_s, 4),
-            "speedup_parallel": round(seq_s / par_s, 3),
             "speedup_batch": round(seq_s / batch_s, 3),
             "batch": batch_stats,
             "identical": True,
@@ -1709,16 +1624,6 @@ def _cmd_profile(args) -> int:
             "stage_ticks": {
                 name: {"count": entry["count"], "ticks": entry["total_s"]}
                 for name, entry in sorted(tick_totals.items())
-            },
-            "workers": {
-                name: {
-                    "units": w["units"],
-                    "busy_s": round(w["busy_s"], 4),
-                    "queue_wait_s": round(w["queue_wait_s"], 4),
-                    "utilization": round(w["utilization"], 3),
-                    "gil_ratio": round(w["gil_ratio"], 3),
-                }
-                for name, w in workers.items()
             },
             "caches": {
                 name: {
@@ -2186,7 +2091,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="sequential vs cached vs parallel campaign benchmark",
+        help="uncached vs cached vs batch campaign benchmark",
     )
     bench.add_argument("--nodes", type=int, default=None,
                        help="fleet size (default 10, or 2 with --smoke)")
@@ -2194,9 +2099,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="polling rounds (default 20, or 3 with --smoke)")
     bench.add_argument("--seed", type=int, default=2019)
     bench.add_argument("--bitrate", type=float, default=2_000.0)
-    bench.add_argument("--parallel", type=int, default=None,
-                       help="parallel reader width for the third mode "
-                            "(default: min(4, cpu count))")
     bench.add_argument("--smoke", action="store_true",
                        help="small fleet/campaign for CI smoke runs")
     bench.add_argument("--out", default=None,
@@ -2218,7 +2120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="deterministic campaign profiler: stage/worker attribution "
+        help="deterministic campaign profiler: stage/cache attribution "
              "+ flamegraph export",
     )
     profile.add_argument("--nodes", type=int, default=None,
@@ -2227,9 +2129,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="polling rounds (default 20, or 3 with --smoke)")
     profile.add_argument("--seed", type=int, default=2019)
     profile.add_argument("--bitrate", type=float, default=2_000.0)
-    profile.add_argument("--parallel", type=int, default=None,
-                         help="worker width for the parallel attribution "
-                              "pass (default: min(4, cpu count))")
     profile.add_argument("--repeats", type=int, default=None,
                          help="traced exchanges per measured stage pass "
                               "(default 5, or 2 with --smoke)")
@@ -2239,9 +2138,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(byte-deterministic per seed)")
     profile.add_argument("--out", default=None,
                          help="append the profile record to this JSON "
-                              "history (BENCH_perf.json-shaped; keep it a "
-                              "separate file so the bench gate's baseline "
-                              "lookup stays unpolluted)")
+                              "history (BENCH_perf.json-shaped; the bench "
+                              "gate skips profile records)")
     profile.add_argument("--smoke", action="store_true",
                          help="small fleet/campaign for CI smoke runs")
     profile.set_defaults(func=_cmd_profile)

@@ -110,10 +110,8 @@ class EventLog:
     ``bus`` optionally binds a
     :class:`~repro.obs.stream.TelemetryBus` (duck-typed: anything with
     ``publish(kind, ...)`` and an ``enabled`` flag): every recorded
-    event is also published as a ``kind="event"`` stream event.  The
-    parallel reader binds only the *shared* log (its staging logs stay
-    unbound), so streamed events appear in merge order — byte-identical
-    to sequential execution.
+    event is also published as a ``kind="event"`` stream event, in
+    recording order.
     """
 
     events: list = field(default_factory=list)
@@ -151,8 +149,7 @@ class EventLog:
         Events are ordered by ``(t, node, seq)`` and renumbered, so the
         result is independent of which operand recorded an event first —
         two logs with equal timestamps merge identically regardless of
-        operand order (the regression that motivated this: parallel-mode
-        merges previously depended on insertion order).  Operands are
+        operand order.  Operands are
         left untouched and no metrics fire (the events were already
         counted when first recorded).
         """

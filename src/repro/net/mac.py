@@ -102,9 +102,7 @@ class MacStats:
         aggregate per-node counters into a network-wide view; the
         operands are left untouched.  Float fields sum with
         :func:`math.fsum` (exactly rounded), so the result is
-        independent of operand order — merging per-node counters in
-        whatever order a parallel round finished them is byte-identical
-        to the sequential order.
+        independent of operand order.
         """
         operands = (self, *others)
         return MacStats(
@@ -184,14 +182,12 @@ class RetryPolicy:
         """A copy with an independent RNG stream derived for one node.
 
         A policy shared across nodes draws jitter from one RNG, so the
-        values each node sees depend on global draw *order* — fine
-        sequentially, but order is scheduling-dependent under the
-        parallel reader.  Seeding a per-node stream from
-        ``(seed, node)`` makes every node's jitter sequence a function
-        of the node alone.  Without a seed there is nothing to derive
-        from, so the shared policy is returned unchanged (parallel mode
-        then can't promise identical backoff sequences, only identical
-        decode results).
+        values each node sees depend on global draw *order* — which
+        changes whenever a node is skipped, quarantined, or retried.
+        Seeding a per-node stream from ``(seed, node)`` makes every
+        node's jitter sequence a function of the node alone.  Without a
+        seed there is nothing to derive from, so the shared policy is
+        returned unchanged.
         """
         if self.seed is None:
             return self

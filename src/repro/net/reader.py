@@ -30,9 +30,9 @@ Campaigns are additionally crash-safe (:mod:`repro.resilience`):
   fault event + health failure instead of aborting the round;
 * shards whose workers keep crashing are **quarantined** (skipped, and
   reported) so one wedged transport cannot stall the fleet;
-* with a :class:`~repro.resilience.watchdog.WatchdogPolicy`, parallel
-  rounds abandon stragglers at their wall-clock deadline and book a
-  ``watchdog_timeout`` fault instead of hanging;
+* with a :class:`~repro.resilience.watchdog.WatchdogPolicy`, a poll
+  that outlives its wall-clock deadline is abandoned and booked as a
+  ``watchdog_timeout`` fault instead of hanging the round;
 * :meth:`ReaderController.snapshot` / :meth:`ReaderController.restore`
   serialise the complete campaign state, and
   :meth:`ReaderController.run_campaign` can write periodic checkpoints
@@ -46,14 +46,12 @@ from dataclasses import dataclass, field
 from repro.faults.events import Event, EventLog
 from repro.net.health import HealthPolicy, HealthState, NodeHealth
 from repro.net.mac import MacStats, PollingMac, RetryPolicy
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge
 from repro.obs.postmortem import DecodePostmortem
-from repro.obs.probe import get_probes
 from repro.obs.analytics import publish_anomalies
 from repro.obs.profiler import get_profiler
 from repro.obs.stream import get_bus
 from repro.obs.trace import get_tracer
-from repro.perf.fleet import FleetEngine, auto_parallel_mode
 from repro.resilience.checkpoint import (
     checkpoint_path,
     read_checkpoint,
@@ -62,7 +60,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.snapshot import restore_transport, transport_state
 from repro.resilience.supervisor import CampaignAbort, SupervisorPolicy, supervise
-from repro.resilience.watchdog import WatchdogPolicy, WatchdogTimeout
+from repro.resilience.watchdog import PollWatchdog, WatchdogPolicy, WatchdogTimeout
 from repro.net.messages import (
     BITRATE_TABLE,
     Command,
@@ -158,30 +156,23 @@ class ReaderController:
         SIGKILL-equivalent) propagates.
     watchdog:
         Optional :class:`~repro.resilience.watchdog.WatchdogPolicy`.
-        Enforced by the fleet engine in parallel mode: a transaction
-        (or round) that outlives its wall-clock budget is abandoned and
-        booked as a ``watchdog_timeout`` fault + health failure instead
-        of hanging the campaign.  Watchdog-tripped runs trade byte-
-        reproducibility for liveness (wall-clock is not virtual time).
+        When enabled, each supervised poll runs on one worker thread
+        (:class:`~repro.resilience.watchdog.PollWatchdog`): a
+        transaction (or round) that outlives its wall-clock budget is
+        abandoned and booked as a ``watchdog_timeout`` fault + health
+        failure instead of hanging the campaign.  Watchdog-tripped runs
+        trade byte-reproducibility for liveness (wall-clock is not
+        virtual time).  Without one, polls run on the calling thread.
     parallel:
-        ``0`` (default) polls nodes sequentially.  ``N >= 1`` runs each
-        round's node transactions on an ``N``-wide thread pool
-        (:class:`~repro.perf.fleet.FleetEngine`): every node's events
-        and metrics go to private staging sinks that are replayed into
-        the shared log/registry in sorted-address order afterwards, so
-        campaign reports, event logs, and metrics are byte-identical
-        to sequential execution.  A seeded ``retry_policy`` is split
-        into per-node jitter streams
-        (:meth:`~repro.net.mac.RetryPolicy.for_node`) in *both* modes,
-        so backoff draws are a function of the node alone — never of
-        scheduling or polling order.  Rounds observed by an
-        enabled tracer or probe registry fall back to sequential
-        execution (same results; real per-stage timings).
-        ``"auto"`` picks between the two from benchmark evidence
-        (:func:`~repro.perf.fleet.auto_parallel_width`): fleets below
-        the observed thread crossover in ``BENCH_perf.json`` stay
-        cached-sequential, larger ones get a pool; the choice is
-        logged on ``repro.perf``.
+        ``0`` (default) polls nodes one at a time on the leg memo.
+        ``"batch"`` adds the batched PHY engine
+        (:class:`~repro.perf.batch.BatchedLinkEngine`): a prepass that
+        computes a window of upcoming exchanges as stacked matrix DSP
+        before the same loop replays them, byte-identically.  Any other
+        value raises ``ValueError``.  A seeded ``retry_policy`` is
+        split into per-node jitter streams
+        (:meth:`~repro.net.mac.RetryPolicy.for_node`), so backoff draws
+        are a function of the node alone — never of polling order.
     bus:
         Optional :class:`~repro.obs.stream.TelemetryBus`; defaults to
         the process-global bus (disabled unless installed via
@@ -189,9 +180,9 @@ class ReaderController:
         the event log and publishes per-round ``soc``/``slo``/
         ``metrics``/``round`` events plus ``checkpoint`` markers and
         engine-level ``postmortem`` verdicts, flushing the bus's sinks
-        once per round.  All publication happens on the merge side
-        (after the parallel replay), so streams are byte-identical
-        across sequential, parallel, and resumed executions.
+        once per round.  Round telemetry is published after the
+        round's polls, from the shared sinks, so streams are
+        byte-identical across both modes and resumed executions.
 
     When either ``ledgers`` or ``slo`` is given the reader also keeps
     ``round_log`` — the per-round outcome records the campaign
@@ -218,32 +209,28 @@ class ReaderController:
     ) -> None:
         if not transports:
             raise ValueError("need at least one node transport")
-        if parallel == "auto":
-            parallel = auto_parallel_mode(len(transports))
         batch_mode = parallel == "batch"
-        if batch_mode:
-            # The batched engine is a prepass over the *sequential*
-            # round, not a pool: the round itself runs with parallel=0
-            # and replays the precomputed legs through the leg memos.
-            parallel = 0
+        if not batch_mode and not (type(parallel) is int and parallel == 0):
+            raise ValueError(
+                f"parallel must be 0 (sequential) or 'batch', got {parallel!r}"
+            )
         self.log = log if log is not None else EventLog()
         self.metrics = metrics
         #: Telemetry bus (:mod:`repro.obs.stream`).  Defaults to the
         #: process-global bus, which is disabled unless the CLI (or a
         #: test) installed an enabled one — the publish calls below all
-        #: short-circuit in that case.  Round telemetry is published on
-        #: the merge side only (after the sorted-order replay in
-        #: parallel mode), so the stream is byte-identical across
-        #: sequential, parallel, and resumed executions.
+        #: short-circuit in that case.  Round telemetry is published
+        #: once per round from the shared sinks, so the stream is
+        #: byte-identical across both modes and resumed executions.
         self.bus = bus if bus is not None else get_bus()
         if self.bus.enabled and getattr(self.log, "bus", None) is None:
             self.log.bus = self.bus
         self._stream_metrics_state: dict = {}   # not checkpointed: see _publish_metrics
         #: Optional :class:`repro.obs.analytics.AnomalyMonitor`.  Fed
-        #: once per round on the merge side (like the stream publish
-        #: calls), so the anomaly sequence is identical across
-        #: sequential, parallel, and resumed executions.  Costs one
-        #: ``is None`` check per round when absent.
+        #: once per round (like the stream publish calls), so the
+        #: anomaly sequence is identical across both modes and resumed
+        #: executions.  Costs one ``is None`` check per round when
+        #: absent.
         self.analytics = analytics
         self._checkpoint_dir = None
         #: Path of the last flight-recorder dump (set on CampaignAbort
@@ -264,17 +251,6 @@ class ReaderController:
             health_policy if health_policy is not None else HealthPolicy()
         )
         self._round = 0
-        self.parallel = int(parallel)
-        self._engine = (
-            FleetEngine(max_workers=self.parallel)
-            if self.parallel >= 1
-            else None
-        )
-        #: Execution-mode label for bench/profile attribution.
-        self.parallel_mode = (
-            "batch" if batch_mode
-            else ("threads" if self.parallel >= 1 else "sequential")
-        )
         self._batch_engine = None
         self._campaign_rounds = None
         if batch_mode:
@@ -285,6 +261,11 @@ class ReaderController:
             supervisor if supervisor is not None else SupervisorPolicy()
         )
         self.watchdog = watchdog
+        self._poll_watchdog = (
+            PollWatchdog(watchdog)
+            if watchdog is not None and watchdog.enabled
+            else None
+        )
         #: Post-mortems of engine-level faults (worker crashes, watchdog
         #: timeouts) — kept here because those faults happen outside the
         #: probe-observed waveform pipeline.  Not part of :meth:`report`.
@@ -351,7 +332,7 @@ class ReaderController:
 
     # -- polling ----------------------------------------------------------------------
 
-    def poll(self, address: int, command: Command, *, _log=None, _metrics=None):
+    def poll(self, address: int, command: Command):
         """One sensing query to one node; stores the decoded reading.
 
         The outcome feeds the node's health state machine: entering
@@ -359,15 +340,10 @@ class ReaderController:
         quarantined node brings it back to HEALTHY.  Malformed replies
         that somehow pass the CRC are contained as failures rather than
         propagating parse errors.
-
-        ``_log``/``_metrics`` are the parallel round's staging sinks;
-        callers never pass them directly.
         """
-        log = _log if _log is not None else self.log
-        metrics = _metrics if _metrics is not None else self.metrics
         record = self._record(address)
         if record.pending_downgrade and record.health.state is HealthState.DEGRADED:
-            self._downgrade_bitrate(address, _log=log)
+            self._downgrade_bitrate(address)
         mac = self._macs[address]
         result = mac.poll(Query(destination=address, command=command))
         record.stats = mac.stats
@@ -383,16 +359,16 @@ class ReaderController:
                 record.readings.append(reading)
         action = record.health.on_result(success, float(self._round))
         if action == "degrade":
-            self._downgrade_bitrate(address, _log=log)
+            self._downgrade_bitrate(address)
         elif action == "recovered":
             record.pending_downgrade = False
-            log.record(self._round, address, "recovery")
-        if metrics is not None:
+            self.log.record(self._round, address, "recovery")
+        if self.metrics is not None:
             if reading is not None and success:
-                metrics.counter(
+                self.metrics.counter(
                     "pab_reader_readings_total", node=address
                 ).inc()
-            metrics.gauge("pab_node_health_code", node=address).set(
+            self.metrics.gauge("pab_node_health_code", node=address).set(
                 record.health.state.code
             )
         return reading if success else None
@@ -404,30 +380,27 @@ class ReaderController:
         airtime) until their probe backoff elapses, at which point they
         get one PING; an acknowledged probe restores them to HEALTHY.
 
-        With ``parallel=N`` the node transactions run concurrently on
-        the fleet engine and the round's telemetry is merged back in
-        sorted-address order (see :meth:`_poll_round_parallel`), unless
-        an enabled tracer or probe registry needs the serialised view.
+        With an enabled watchdog each supervised poll runs on the
+        watchdog's worker thread; a poll past its budget is booked as a
+        ``watchdog_timeout`` fault, and once the round budget is spent
+        the remaining nodes are booked without being polled.
         """
-        if (
-            self._engine is not None
-            and not get_tracer().enabled
-            and not get_probes().enabled
-        ):
-            return self._poll_round_parallel(command)
         t = float(self._round)
         out = {}
         skipped_addrs = set()
         if self._batch_engine is not None:
             # Batched prepass: seed the leg memos and demod hints for
             # everything the coming window of rounds will compute, as
-            # stacked matrix kernels.  The sequential loop below then
-            # replays the round byte-identically (it bails out
-            # internally whenever the memo path itself is inactive).
+            # stacked matrix kernels.  The loop below then replays the
+            # round byte-identically (it bails out internally whenever
+            # the memo path itself is inactive).
             remaining = None
             if self._campaign_rounds is not None:
                 remaining = max(1, int(self._campaign_rounds) - self._round)
             self._batch_engine.prewarm_round(command, remaining=remaining)
+        watchdog = self._poll_watchdog
+        if watchdog is not None:
+            watchdog.start_round()
         with get_tracer().span(
             "reader.poll_round", round=self._round, nodes=len(self._macs)
         ) as span:
@@ -451,10 +424,19 @@ class ReaderController:
                         continue
                 else:
                     poll_command = command
-                reading, outcome = supervise(
-                    lambda a=addr, c=poll_command: self.poll(a, c),
-                    self.supervisor,
+
+                def supervised(a=addr, c=poll_command):
+                    return supervise(lambda: self.poll(a, c), self.supervisor)
+
+                polled = (
+                    supervised() if watchdog is None
+                    else watchdog.run(addr, supervised)
                 )
+                if isinstance(polled, WatchdogTimeout):
+                    out[addr] = None
+                    self._note_watchdog(addr, t, polled)
+                    continue
+                reading, outcome = polled
                 out[addr] = reading
                 self._note_supervision(addr, t, outcome)
             span.set(
@@ -463,130 +445,6 @@ class ReaderController:
             )
         self._finish_round(t, out, skipped_addrs)
         return out
-
-    def _poll_round_parallel(self, command: Command) -> dict:
-        """One polling round across the fleet engine's thread pool.
-
-        Each node's transaction runs in a worker with *staging* sinks:
-        a private :class:`EventLog` (so event ordering can't interleave
-        across nodes) and a private :class:`MetricsRegistry` (so the
-        non-atomic counter increments can't race).  A node's MAC and
-        health machine are touched only by that node's worker, so
-        repointing their sinks for the duration of the unit is safe.
-
-        The merge replays each staging log into the shared log and
-        absorbs each staging registry in sorted-address order — the
-        exact order the sequential loop visits nodes — which renumbers
-        event sequence numbers and applies gauge writes exactly as
-        sequential execution would have.  The result dict, event log,
-        metrics, and downstream reports are byte-identical to
-        ``parallel=0`` for the same seed.
-        """
-        t = float(self._round)
-
-        def make_unit(addr: int):
-            def unit():
-                stage_log = EventLog()
-                stage_metrics = (
-                    MetricsRegistry() if self.metrics is not None else None
-                )
-                mac = self._macs[addr]
-                health = self.nodes[addr].health
-                saved = (mac.log, mac.metrics, health.log)
-                mac.log, mac.metrics, health.log = (
-                    stage_log, stage_metrics, stage_log,
-                )
-                staged_chain = self._stage_transport_log(mac, stage_log)
-                try:
-                    if health.state is HealthState.QUARANTINED:
-                        if health.due_for_probe(t):
-                            health.start_probe(t)
-                            stage_log.record(t, addr, "probe")
-                            poll_command = Command.PING
-                        else:
-                            return None, stage_log, stage_metrics, True, None
-                    else:
-                        poll_command = command
-                    # Supervised restarts re-poll into the SAME staging
-                    # sinks, so the merged telemetry is identical to what
-                    # the sequential supervisor produces.
-                    reading, outcome = supervise(
-                        lambda: self.poll(
-                            addr, poll_command,
-                            _log=stage_log, _metrics=stage_metrics,
-                        ),
-                        self.supervisor,
-                    )
-                    return reading, stage_log, stage_metrics, False, outcome
-                finally:
-                    mac.log, mac.metrics, health.log = saved
-                    for obj in staged_chain:
-                        obj.log = self.log
-
-            return unit
-
-        units = {
-            addr: make_unit(addr)
-            for addr in self._macs
-            if addr not in self._quarantined_shards
-        }
-        out = {}
-        skipped_addrs = set()
-        with get_tracer().span(
-            "reader.poll_round", round=self._round, nodes=len(self._macs)
-        ) as span:
-            for addr in sorted(self._quarantined_shards):
-                if addr in self._macs:
-                    out[addr] = None
-                    skipped_addrs.add(addr)
-            for addr, payload in self._engine.run_round(
-                units, watchdog=self.watchdog
-            ):
-                if isinstance(payload, WatchdogTimeout):
-                    out[addr] = None
-                    self._note_watchdog(addr, t, payload)
-                    continue
-                reading, stage_log, stage_metrics, was_skipped, outcome = payload
-                out[addr] = reading
-                if was_skipped:
-                    skipped_addrs.add(addr)
-                # Replay: record() renumbers seq and fires the bound
-                # pab_events_total counters (the staging log was
-                # unbound, so each event is counted exactly once).
-                for e in stage_log.events:
-                    self.log.record(e.t, e.node, e.kind, **dict(e.detail))
-                if stage_metrics is not None:
-                    self.metrics.absorb(stage_metrics)
-                self._note_supervision(addr, t, outcome)
-            span.set(
-                delivered=sum(1 for r in out.values() if r is not None),
-                skipped_quarantined=len(skipped_addrs),
-            )
-        self._finish_round(t, out, skipped_addrs)
-        return out
-
-    def _stage_transport_log(self, mac, stage_log) -> list:
-        """Repoint shared-log references along a node's transport chain.
-
-        Fault injectors (:mod:`repro.faults.injectors`, including the
-        supervisor's :class:`WorkerCrashInjector`) are constructed with
-        the *shared* event log and write fault events from inside the
-        transaction — which, in a worker thread, would interleave with
-        other nodes' events nondeterministically.  Walk the ``transact``
-        chain via ``inner`` and swap every ``log`` attribute that *is*
-        the shared log to the worker's staging log; the caller restores
-        them in its ``finally``.  Returns the objects that were staged.
-        """
-        staged = []
-        obj = mac.transact
-        seen = set()
-        while obj is not None and id(obj) not in seen:
-            seen.add(id(obj))
-            if getattr(obj, "log", None) is self.log:
-                obj.log = stage_log
-                staged.append(obj)
-            obj = getattr(obj, "inner", None)
-        return staged
 
     def _observe_round(self, t: float, out: dict, skipped: set) -> dict:
         """Feed energy harnesses + SLO tracker and log the round."""
@@ -621,10 +479,9 @@ class ReaderController:
         return record
 
     def _finish_round(self, t: float, out: dict, skipped: set) -> None:
-        """Shared tail of both poll_round paths: round bookkeeping plus
-        (when an enabled bus is attached) the round's stream events and
-        sink flush.  Runs after the parallel merge, so the published
-        stream is identical to sequential execution."""
+        """Tail of :meth:`poll_round`: round bookkeeping plus (when an
+        enabled bus is attached) the round's stream events and sink
+        flush."""
         record = None
         if self._track_rounds:
             record = self._observe_round(t, out, skipped)
@@ -635,10 +492,9 @@ class ReaderController:
         profiler = get_profiler()
         profile_snapshot = None
         if profiler.enabled:
-            # Merge side, after the parallel replay: sequential and
-            # parallel campaigns mark identical round boundaries, so a
-            # profile's structure (and, under a virtual clock, its
-            # bytes) does not depend on the execution mode.
+            # After the round's polls: both modes mark identical round
+            # boundaries, so a profile's structure (and, under a
+            # virtual clock, its bytes) does not depend on the mode.
             profile_snapshot = profiler.on_round(t)
             if self.bus.enabled:
                 self.bus.publish(
@@ -675,7 +531,7 @@ class ReaderController:
         this round, one ``slo`` sample, one ``metrics`` delta, and one
         ``round`` record carrying the timeline outcomes plus each
         node's cumulative MAC counters.  Everything is derived from the
-        already-merged shared sinks, never from worker state.
+        shared sinks after the round's polls.
         """
         rnd = int(t)
         for addr in sorted(self.ledgers):
@@ -971,12 +827,7 @@ class ReaderController:
     # -- crash containment -------------------------------------------------------------
 
     def _note_supervision(self, addr: int, t: float, outcome) -> None:
-        """Book a poll's supervision outcome into the shared telemetry.
-
-        Runs on the merge side in parallel mode (sorted-address order),
-        so restart/crash events land exactly where the sequential
-        supervisor would put them.
-        """
+        """Book a poll's supervision outcome into the shared telemetry."""
         if outcome is None:
             return
         if outcome.restarts > 0 and not outcome.crashed:
@@ -1036,11 +887,6 @@ class ReaderController:
             self.bus.publish(
                 "postmortem", t=t, node=addr, source="reader", data=pm.to_dict()
             )
-        # The abandoned worker is a zombie still holding this node's
-        # staging sinks; repoint the health log at the shared log so the
-        # state transition is visible.  (The zombie's cleanup restores
-        # the shared log again whenever it finally unblocks.)
-        self.nodes[addr].health.log = self.log
         self._fail_node(addr, t)
         self._bump_crash_streak(addr, t)
         # A watchdog kill already trades byte-reproducibility for
@@ -1082,21 +928,20 @@ class ReaderController:
 
     # -- health actions ----------------------------------------------------------------
 
-    def _downgrade_bitrate(self, address: int, *, _log=None) -> bool:
+    def _downgrade_bitrate(self, address: int) -> bool:
         """Step the node one rung down the rate ladder via SET_BITRATE.
 
         The command goes through the MAC but bypasses health accounting
         (a failed downgrade must not recursively degrade the node);
         unacknowledged downgrades are retried before the node's next
-        sensing poll.  ``_log`` is the parallel round's staging log.
+        sensing poll.
         """
-        log = _log if _log is not None else self.log
         record = self.nodes[address]
         current = record.bitrate
         target = lower_bitrate(current) if current is not None else BITRATE_TABLE[0]
         if target is None:
             record.pending_downgrade = False
-            log.record(
+            self.log.record(
                 self._round, address, "bitrate", action="at_floor", bitrate=current
             )
             return False
@@ -1110,7 +955,7 @@ class ReaderController:
         )
         record.stats = mac.stats
         acked = getattr(result, "success", False)
-        log.record(
+        self.log.record(
             self._round,
             address,
             "bitrate",

@@ -28,7 +28,7 @@ The measurement substrate under every performance claim in this repo:
 * :mod:`repro.obs.recorder` — the bounded ring-buffer flight recorder
   dumped next to checkpoints on campaign aborts.
 * :mod:`repro.obs.profiler` — the deterministic campaign profiler:
-  stage/worker/cache/memory attribution plus collapsed-stack and
+  stage/cache/memory attribution plus collapsed-stack and
   speedscope flamegraph exports (``repro profile``).
 
 * :mod:`repro.obs.analytics` — deterministic online anomaly detectors

@@ -3,14 +3,14 @@
 Five PRs of observability record everything — streams, profiles, SLO
 burn, energy ledgers — but nothing *watches* those series for drift
 while a campaign runs.  This module adds that layer: small, purely
-arithmetic online detectors that the reader feeds once per round (on
-the merge side, after the parallel replay) and that emit schema-1
+arithmetic online detectors that the reader feeds once per round
+(after the round's polls) and that emit schema-1
 ``anomaly`` envelopes plus ``pab_anomaly_*`` metrics when a watched
 series departs from its learned baseline.
 
 Two detector families, both deterministic (no wall clock, no RNG —
 their state is a pure function of the observed value sequence, so
-sequential, parallel, and kill+resume campaigns flag byte-identical
+sequential, batched, and kill+resume campaigns flag byte-identical
 anomaly sequences):
 
 * :class:`EwmaDetector` — exponentially weighted mean/variance with a

@@ -120,10 +120,6 @@ METRIC_HELP = {
     "pab_profile_cache_saved_seconds": "Estimated seconds saved per cache (hits x mean miss cost).",
     "pab_profile_mem_peak_bytes": "Campaign tracemalloc high-water mark.",
     "pab_profile_stage_seconds": "Profiler per-stage span totals.",
-    "pab_profile_worker_busy_seconds": "Wall-clock each fleet worker spent executing units.",
-    "pab_profile_worker_gil_ratio": "Per-worker CPU-time/wall-time ratio (GIL-contention proxy).",
-    "pab_profile_worker_queue_wait_seconds": "Submit-to-start latency summed per fleet worker.",
-    "pab_profile_worker_utilization": "Fraction of engine wall-clock each worker spent busy.",
     "pab_reader_readings_total": "Decoded sensor readings stored per node.",
     "pab_reader_rounds_total": "Polling rounds completed.",
     "pab_shard_quarantines_total": "Shards quarantined after consecutive worker crashes.",
@@ -132,7 +128,7 @@ METRIC_HELP = {
     "pab_slo_error_budget_remaining": "SLO error budget remaining (1=untouched, <0=violated).",
     "pab_span_seconds": "Span durations by stage name.",
     "pab_stream_unknown_kinds_total": "Stream envelopes skipped because their kind is unknown to this consumer.",
-    "pab_watchdog_timeouts_total": "Workers abandoned at their watchdog deadline.",
+    "pab_watchdog_timeouts_total": "Polls abandoned at their watchdog deadline.",
     "pab_worker_crashes_total": "Worker crashes past the restart budget.",
     "pab_worker_restarts_total": "Supervised worker restarts.",
 }

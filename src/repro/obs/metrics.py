@@ -267,37 +267,6 @@ class MetricsRegistry:
                     target.nan_count += metric.nan_count
         return merged
 
-    def absorb(self, *others: "MetricsRegistry") -> None:
-        """Fold ``others`` into this registry in place.
-
-        Counters and histograms accumulate exactly as in :meth:`merge`;
-        gauges are *last-write-wins* — each operand's gauge overwrites
-        the current value, in operand order.  This is the merge the
-        parallel reader uses to replay per-node staging registries:
-        replaying them in sorted node order reproduces what sequential
-        execution would have written, including the final gauge values.
-        """
-        for source in others:
-            for key, metric in source._metrics.items():
-                name, labels = key
-                if isinstance(metric, Counter):
-                    self._get(Counter, name, dict(labels)).inc(metric.value)
-                elif isinstance(metric, Gauge):
-                    self._get(Gauge, name, dict(labels)).set(metric.value)
-                elif isinstance(metric, Histogram):
-                    target = self._get(
-                        Histogram, name, dict(labels), buckets=metric.buckets
-                    )
-                    if target.buckets != metric.buckets:
-                        raise ValueError(
-                            f"bucket mismatch absorbing histogram {name}"
-                        )
-                    for i, n in enumerate(metric.bucket_counts):
-                        target.bucket_counts[i] += n
-                    target.sum += metric.sum
-                    target.count += metric.count
-                    target.nan_count += metric.nan_count
-
 
 def set_build_info(registry: "MetricsRegistry", *, version: str | None = None,
                    schema: int | None = None) -> Gauge:

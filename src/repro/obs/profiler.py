@@ -1,9 +1,9 @@
-"""Deterministic campaign profiler: stage/worker attribution + flamegraphs.
+"""Deterministic campaign profiler: stage/cache/memory attribution + flamegraphs.
 
 PRs 2-7 built tracing, metrics, probes, ledgers, SLOs, and a streaming
 bus; this module is the last observability pillar — *profiling*: where
 does a campaign's wall-clock actually go?  It attributes time along
-four axes:
+three axes:
 
 * **Stages / spans** — every span the :class:`~repro.obs.trace.Tracer`
   records (including the five ``BackscatterLink.transact`` stages)
@@ -11,19 +11,12 @@ four axes:
   collapsed-stack text (Brendan Gregg's format, one
   ``root;child;leaf weight`` line per unique stack) and a
   speedscope-compatible evented JSON profile.
-* **Workers** — :class:`~repro.perf.fleet.FleetEngine` wraps each unit
-  of work when a profiler is enabled and records, per worker thread,
-  busy wall-clock, consumed CPU time (``time.thread_time``), and
-  queue-wait (submit-to-start latency).  The per-worker CPU/wall ratio
-  is the GIL-contention proxy: a CPU-bound workload whose workers sit
-  far below 1.0 is serialised by the interpreter lock, not by work.
 * **Caches** — :class:`~repro.perf.cache.LRUCache` times each miss's
   ``compute()`` when a profiler is enabled; hits x mean miss cost is
   the per-cache time-saved estimate.
 * **Memory** — optional per-round ``tracemalloc`` snapshots (current
-  and high-water bytes), marked from the reader's merge-side round
-  tail so sequential and parallel campaigns snapshot at identical
-  points.
+  and high-water bytes), marked from the reader's round tail so
+  sequential and batched campaigns snapshot at identical points.
 
 Like the tracer, probes, and bus, the profiler is **disabled by
 default** and free when disabled: instrumentation sites pay one
@@ -37,10 +30,9 @@ spans.  Under a :class:`~repro.obs.trace.VirtualClock` (tick > 0) every
 span timestamp is a deterministic integer, so the collapsed-stack text
 and the speedscope JSON are byte-identical across runs with the same
 seed — asserted by ``tests/obs/test_profiler.py`` and the CI profile
-determinism step.  Worker and cache attributions are wall-clock
-*measurements* and carry run-to-run jitter by nature; the reader
-publishes them merge-side in sorted order so their stream *structure*
-stays deterministic.
+determinism step.  Cache attributions are wall-clock *measurements*
+and carry run-to-run jitter by nature; the reader publishes them once
+per round so their stream *structure* stays deterministic.
 """
 
 from __future__ import annotations
@@ -53,7 +45,7 @@ from time import perf_counter
 
 
 class CampaignProfiler:
-    """Accumulates stage, worker, cache, and memory attributions.
+    """Accumulates stage, cache, and memory attributions.
 
     Parameters
     ----------
@@ -71,12 +63,6 @@ class CampaignProfiler:
         self.enabled = bool(enabled)
         self.memory = bool(memory)
         self._lock = threading.Lock()
-        #: Per-unit worker samples since the last :meth:`on_round` drain.
-        self._pending_workers: list = []
-        #: Cumulative per-worker accounting: name -> dict.
-        self._workers: dict = {}
-        #: Engine rounds: list of {"wall_s", "width"}.
-        self._engine_rounds: list = []
         #: Cache miss costs: name -> [count, total_s].
         self._miss_costs: dict = {}
         #: Per-round snapshots from :meth:`on_round`.
@@ -85,68 +71,6 @@ class CampaignProfiler:
         self._stages: dict = {}
         self._span_cursor = 0
         self._tracemalloc_started = False
-
-    # -- worker attribution (called from FleetEngine workers) -----------------------
-
-    def record_worker_sample(self, *, worker: str, key, queue_wait_s: float,
-                             wall_s: float, cpu_s: float) -> None:
-        """One executed unit of work, reported from its worker thread."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._pending_workers.append({
-                "worker": str(worker),
-                "key": key,
-                "queue_wait_s": float(queue_wait_s),
-                "wall_s": float(wall_s),
-                "cpu_s": float(cpu_s),
-            })
-            entry = self._workers.setdefault(str(worker), {
-                "units": 0, "busy_s": 0.0, "cpu_s": 0.0, "queue_wait_s": 0.0,
-            })
-            entry["units"] += 1
-            entry["busy_s"] += float(wall_s)
-            entry["cpu_s"] += float(cpu_s)
-            entry["queue_wait_s"] += float(queue_wait_s)
-
-    def record_engine_round(self, *, wall_s: float, width: int) -> None:
-        """One completed ``FleetEngine.run_round`` (its wall-clock span)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._engine_rounds.append(
-                {"wall_s": float(wall_s), "width": int(width)}
-            )
-
-    def worker_report(self) -> dict:
-        """``{worker: {units, busy_s, cpu_s, queue_wait_s, gil_ratio,
-        utilization}}`` in sorted worker order.
-
-        ``gil_ratio`` is CPU-time / busy wall-time — the GIL-contention
-        proxy (1.0 = the thread computed the whole time it was
-        scheduled; << 1.0 on a CPU-bound workload = it waited for the
-        interpreter lock).  ``utilization`` is busy wall-time over the
-        engine's total round wall-clock (idle = 1 - utilization).
-        """
-        with self._lock:
-            engine_wall = sum(r["wall_s"] for r in self._engine_rounds)
-            out = {}
-            for name in sorted(self._workers):
-                w = self._workers[name]
-                out[name] = {
-                    "units": w["units"],
-                    "busy_s": w["busy_s"],
-                    "cpu_s": w["cpu_s"],
-                    "queue_wait_s": w["queue_wait_s"],
-                    "gil_ratio": (w["cpu_s"] / w["busy_s"]) if w["busy_s"] else 0.0,
-                    "utilization": (w["busy_s"] / engine_wall) if engine_wall else 0.0,
-                }
-            return out
-
-    def engine_wall_s(self) -> float:
-        """Total wall-clock spent inside engine rounds."""
-        with self._lock:
-            return sum(r["wall_s"] for r in self._engine_rounds)
 
     # -- cache attribution (called from LRUCache on misses) --------------------------
 
@@ -186,8 +110,8 @@ class CampaignProfiler:
     def on_round(self, t: float, *, tracer=None) -> dict:
         """Merge-side round mark: fold in new spans, snapshot memory.
 
-        Called from ``ReaderController._finish_round`` — after the
-        parallel merge, so sequential and ``parallel=N`` campaigns mark
+        Called from ``ReaderController._finish_round`` after the
+        round's polls, so sequential and batched campaigns mark
         identical points.  Returns the round's JSON-ready snapshot
         (also appended to :attr:`round_snapshots`); the reader publishes
         it as a ``profile``-kind stream event when a bus is live.
@@ -216,22 +140,6 @@ class CampaignProfiler:
                     total["count"] += entry["count"]
                     total["total_s"] += entry["total_s"]
             snap["stages"] = {name: dict(delta[name]) for name in sorted(delta)}
-        with self._lock:
-            pending, self._pending_workers = self._pending_workers, []
-        if pending:
-            per_worker: dict = {}
-            for sample in pending:
-                entry = per_worker.setdefault(sample["worker"], {
-                    "units": 0, "busy_s": 0.0, "cpu_s": 0.0,
-                    "queue_wait_s": 0.0,
-                })
-                entry["units"] += 1
-                entry["busy_s"] += sample["wall_s"]
-                entry["cpu_s"] += sample["cpu_s"]
-                entry["queue_wait_s"] += sample["queue_wait_s"]
-            snap["workers"] = {
-                name: per_worker[name] for name in sorted(per_worker)
-            }
         if self.memory:
             import tracemalloc
 
@@ -272,19 +180,6 @@ class CampaignProfiler:
             registry.gauge("pab_profile_stage_seconds", stage=name).set(
                 entry["total_s"]
             )
-        for name, w in self.worker_report().items():
-            registry.gauge("pab_profile_worker_busy_seconds", worker=name).set(
-                w["busy_s"]
-            )
-            registry.gauge(
-                "pab_profile_worker_queue_wait_seconds", worker=name
-            ).set(w["queue_wait_s"])
-            registry.gauge("pab_profile_worker_gil_ratio", worker=name).set(
-                w["gil_ratio"]
-            )
-            registry.gauge("pab_profile_worker_utilization", worker=name).set(
-                w["utilization"]
-            )
         if cache_stats:
             for name, entry in self.cache_report(cache_stats).items():
                 registry.gauge(
@@ -299,9 +194,6 @@ class CampaignProfiler:
     def reset(self) -> None:
         """Drop all accumulated samples and snapshots."""
         with self._lock:
-            self._pending_workers.clear()
-            self._workers.clear()
-            self._engine_rounds.clear()
             self._miss_costs.clear()
             self._stages.clear()
         self.round_snapshots.clear()
@@ -527,9 +419,8 @@ def profile_stage_costs(run, *, repeats: int = 5, stages=None) -> dict:
     counting parents against their children; omitted, every recorded
     span name is reported.
 
-    The CPU/wall ratio per *stage* complements the per-worker GIL
-    proxy: a stage near 1.0 burns CPU the whole time (python or numpy
-    compute); far below 1.0 it sleeps or waits.
+    A stage whose CPU/wall ratio is near 1.0 burns CPU the whole time
+    (python or numpy compute); far below 1.0 it sleeps or waits.
     """
     from time import thread_time
 

@@ -17,9 +17,9 @@ as stream-format JSONL when something dies:
 
 Because events arrive at publish time (not flush time), the ring is
 current up to the very last event published before the crash.
-Determinism: the ring sees the same merge-side event sequence in every
-execution mode, so same-seed sequential and parallel campaigns dump
-byte-identical recordings.
+Determinism: the ring sees the same event sequence in every execution
+mode, so same-seed sequential and batched campaigns dump byte-identical
+recordings.
 """
 
 from __future__ import annotations

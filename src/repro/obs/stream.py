@@ -60,22 +60,21 @@ kind               source     data payload
                               node, SLO burn, cumulative MAC counters
 ``postmortem``     obs        one :class:`~repro.obs.postmortem.DecodePostmortem`
 ``checkpoint``     reader     checkpoint file written (path, round)
-``pool_rebuild``   fleet      the engine replaced a watchdog-tainted pool
 ``profile``        profiler   one per-round profiler snapshot (stage deltas,
-                              worker busy/CPU samples, memory high-water) from
+                              memory high-water) from
                               :meth:`repro.obs.profiler.CampaignProfiler.on_round`
 ``anomaly``        analytics  one online-detector hit (series, node, stage,
                               detector, severity, score) from
                               :class:`repro.obs.analytics.AnomalyMonitor`
 =================  =========  ==================================================
 
-Determinism: the reader publishes only from merge-side code paths (the
-shared event log, the per-round observer) in sorted-address order, so
-sequential and ``parallel=N`` campaigns produce byte-identical
-streams.  Replaying a stream through :class:`StreamAggregator` is
-*idempotent* — events are keyed (log seq, round number, (node, round))
-with last-write-wins — so a stream appended across a crash/resume
-boundary still reduces to exactly the batch end state.
+Determinism: the reader publishes only from the shared event log and
+the per-round observer, in sorted-address order, so sequential and
+``parallel="batch"`` campaigns produce byte-identical streams.
+Replaying a stream through :class:`StreamAggregator` is *idempotent* —
+events are keyed (log seq, round number, (node, round)) with
+last-write-wins — so a stream appended across a crash/resume boundary
+still reduces to exactly the batch end state.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ SCHEMA_VERSION = 1
 #: consumers must ignore kinds they don't understand).
 EVENT_KINDS = (
     "stream_start", "event", "span", "metrics", "soc", "slo", "round",
-    "postmortem", "checkpoint", "pool_rebuild", "profile", "anomaly",
+    "postmortem", "checkpoint", "profile", "anomaly",
 )
 
 
@@ -548,8 +547,6 @@ class StreamAggregator:
                 str(data.get("detector", "")),
             )
             self._anomalies[key] = event
-        elif kind in EVENT_KINDS:
-            pass    # known kind with no reduced state (pool_rebuild)
         elif kind is not None:
             # Forward compatibility: skip-and-count kinds from newer
             # producers instead of treating schema-1's kind set as

@@ -166,8 +166,8 @@ class Tracer:
         self.metrics = metrics
         #: Optional :class:`~repro.obs.stream.TelemetryBus`: each
         #: finished span is also published as a ``kind="span"`` stream
-        #: event.  (An enabled tracer forces the reader into sequential
-        #: mode, so span publication order is deterministic.)
+        #: event.  (The reader polls one node at a time, so span
+        #: publication order is deterministic.)
         self.bus = bus
         self.spans: list[Span] = []
         self._stack: list[Span] = []

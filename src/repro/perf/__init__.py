@@ -1,4 +1,4 @@
-"""Performance layer: memoization caches and the parallel fleet engine.
+"""Performance layer: memoization caches, kernels, and the batched engine.
 
 The hot path of the reproduction is the waveform pipeline
 (:mod:`repro.dsp`, :mod:`repro.core`); this package makes it fast
@@ -10,10 +10,13 @@ without changing a single decoded bit:
   counters exported through :mod:`repro.obs.metrics`;
 * :mod:`repro.perf.kernels` — convolution helpers that auto-select
   direct vs FFT (overlap-add) evaluation by operand length;
-* :mod:`repro.perf.fleet` — :class:`~repro.perf.fleet.FleetEngine`,
-  which runs reader polling rounds across a thread pool with per-node
-  staging sinks merged deterministically (byte-identical to sequential
-  execution for the same seed).
+* :mod:`repro.perf.batch` — :class:`~repro.perf.batch.BatchedLinkEngine`,
+  the ``ReaderController(parallel="batch")`` prepass that computes a
+  window of upcoming exchanges as stacked matrix DSP (byte-identical
+  to sequential polling for the same seed).
+
+There is no thread-pool mode: polling is GIL-bound compute, which
+threads cannot overlap (``docs/PERFORMANCE.md`` has the numbers).
 
 See ``docs/PERFORMANCE.md`` for the design and the CI perf gate.
 """
@@ -28,12 +31,6 @@ from repro.perf.cache import (
     get_cache,
     set_cache_enabled,
 )
-from repro.perf.fleet import (
-    FleetEngine,
-    ProcessFleetEngine,
-    auto_parallel_mode,
-    auto_parallel_width,
-)
 from repro.perf.kernels import (
     batched_convolve,
     batched_correlate,
@@ -42,11 +39,7 @@ from repro.perf.kernels import (
 )
 
 __all__ = [
-    "FleetEngine",
     "LRUCache",
-    "ProcessFleetEngine",
-    "auto_parallel_mode",
-    "auto_parallel_width",
     "batched_convolve",
     "batched_correlate",
     "cache_enabled",

@@ -1,13 +1,12 @@
 """Batched PHY engine: one matrix pass per channel stage for a fleet window.
 
 The committed 10-node profile pins ``link.node`` at ~0.50 of an uncached
-transaction with CPU/wall ~0.99 — pure GIL-bound compute, which is why
-the thread-pool fleet engine *loses* to cached-sequential on a single
-core.  This module takes the other road ROADMAP open item 1 calls for:
-instead of running N exchanges concurrently, it runs the fleet's
-waveform work as stacked (N, samples) ndarray passes, then lets the
-ordinary sequential rounds *replay* those results through the leg memo,
-byte-for-byte.
+transaction with CPU/wall ~0.99 — pure GIL-bound compute, which
+threads cannot overlap.  This module takes the other road ROADMAP open
+item 1 calls for: instead of running N exchanges concurrently, it runs
+the fleet's waveform work as stacked (N, samples) ndarray passes, then
+lets the ordinary sequential rounds *replay* those results through the
+leg memo, byte-for-byte.
 
 Architecture — a predictive prepass, not a parallel executor
 ------------------------------------------------------------

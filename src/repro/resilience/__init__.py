@@ -9,8 +9,8 @@ side's own failures, not just the nodes':
   resume_from=...)`` continues a campaign byte-identically (proved by
   the ``repro bench`` digest machinery).
 * :mod:`repro.resilience.watchdog` — per-transaction and per-round
-  wall-clock budgets enforced by the fleet engine; stragglers are
-  abandoned, booked as ``watchdog_timeout`` faults, and fed to the
+  wall-clock budgets enforced around the reader's polls; stragglers
+  are abandoned, booked as ``watchdog_timeout`` faults, and fed to the
   node's health machine instead of hanging the run.
 * :mod:`repro.resilience.supervisor` — restart-with-backoff on worker
   crash, shard quarantine for repeat offenders, and the

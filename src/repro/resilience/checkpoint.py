@@ -172,7 +172,7 @@ def campaign_digest(report: dict, log=None, metrics=None) -> str:
     sha256 over the canonical report JSON, plus (when provided) the
     event-log dump and the Prometheus exposition — byte-identical
     inputs produce byte-identical digests, which is the proof used for
-    sequential/parallel equivalence and for checkpoint resume.
+    sequential/batch equivalence and for checkpoint resume.
     """
     blob = json.dumps(report, sort_keys=True, default=str)
     if log is not None:

@@ -23,10 +23,10 @@ drills) at scheduled rounds or transaction indices.  ``repro bench
 --kill-at ROUND:NODE`` and ``repro fleet-report --kill-at`` wire it up
 from the CLI.
 
-Determinism: restarts re-enter the same poll with the same staging
+Determinism: restarts re-enter the same poll against the same shared
 sinks, so a contained crash produces byte-identical campaign digests in
-sequential and parallel modes — asserted by
-``tests/resilience/test_supervisor.py``.
+sequential and batched modes — asserted by
+``tests/resilience/test_supervisor.py`` and ``tests/perf/test_batch.py``.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def install_worker_crash(
     ``rounds=(8,)`` crashes the node's worker during polling round 8 in
     every execution mode.  The injector books no events itself (the
     reader's supervision bookkeeping owns ``worker_restart`` /
-    ``worker_crash`` telemetry), which keeps sequential and parallel
+    ``worker_crash`` telemetry), which keeps sequential and batched
     digests identical under contained crashes.
     """
     addr = int(node)

@@ -1,9 +1,8 @@
 """Deterministic-merge regression tests.
 
-The parallel reader replays per-node staging logs into the shared
-sinks; any merge that depends on operand order or insertion order
-would make parallel campaigns diverge from sequential ones.  These
-pin the ordering contracts.
+Merging event logs must not depend on operand order or insertion
+order, or two runs of the same campaign could disagree.  These pin the
+ordering contracts.
 """
 
 from repro.faults import EventLog
@@ -29,9 +28,8 @@ class TestEventLogMerge:
         assert [e.seq for e in merged] == [0, 1, 2]
 
     def test_merge_commutes_with_equal_timestamps(self):
-        # The regression: parallel-mode merges previously depended on
-        # which operand recorded first.  With equal t the node address
-        # breaks the tie, so operand order must not matter.
+        # With equal t the node address breaks the tie, so operand
+        # order must not matter.
         a = _log_with([(5.0, 4, "retry"), (5.0, 2, "retry")])
         b = _log_with([(5.0, 3, "fault"), (5.0, 1, "attempt")])
         assert a.merge(b).to_lines() == b.merge(a).to_lines()

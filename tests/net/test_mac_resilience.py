@@ -208,6 +208,20 @@ class TestRetryPolicy:
         assert len(log.filter(node=2, kind="backoff")) == 1
 
 
+class TestRetryPolicyForNode:
+    def test_seeded_streams_are_per_node_deterministic(self):
+        policy = RetryPolicy(base_backoff_s=0.1, jitter=0.5, seed=42)
+        a1 = [policy.for_node(3).backoff_s(i) for i in range(4)]
+        a2 = [policy.for_node(3).backoff_s(i) for i in range(4)]
+        b = [policy.for_node(4).backoff_s(i) for i in range(4)]
+        assert a1 == a2
+        assert a1 != b
+
+    def test_unseeded_policy_returned_unchanged(self):
+        policy = RetryPolicy(base_backoff_s=0.1, jitter=0.5)
+        assert policy.for_node(3) is policy
+
+
 class TestMacStats:
     def test_merge_sums_every_counter(self):
         a = MacStats(
@@ -243,6 +257,20 @@ class TestMacStats:
         parts = [MacStats(attempts=i, successes=i) for i in (1, 2, 3)]
         merged = parts[0].merge(*parts[1:])
         assert merged.attempts == 6
+
+    def test_merge_is_order_independent(self):
+        a = MacStats(attempts=5, successes=4, retries=1,
+                     payload_bits_delivered=64, airtime_s=1.5,
+                     backoff_s=0.2, exceptions=0)
+        b = MacStats(attempts=3, successes=1, retries=2,
+                     payload_bits_delivered=16, airtime_s=0.9,
+                     backoff_s=0.4, exceptions=1)
+        c = MacStats(attempts=1, successes=1, retries=0,
+                     payload_bits_delivered=8, airtime_s=0.3,
+                     backoff_s=0.0, exceptions=0)
+        assert a.merge(b, c) == c.merge(b, a)
+        # Operands untouched.
+        assert a.attempts == 5 and b.attempts == 3
 
     def test_merged_delivery_ratio(self):
         a = MacStats(attempts=5, successes=4, retries=1)  # 4 distinct

@@ -82,6 +82,13 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             ReaderController({})
 
+    @pytest.mark.parametrize(
+        "parallel", [1, 4, -3, True, False, 2.7, 0.0, "auto", "batched", "0", None]
+    )
+    def test_parallel_accepts_only_sequential_or_batch(self, parallel):
+        with pytest.raises(ValueError, match=r"0 \(sequential\) or 'batch'"):
+            ReaderController({1: StubNodeTransport(1)}, parallel=parallel)
+
 
 class TestPolling:
     def test_poll_reads_sensor(self):

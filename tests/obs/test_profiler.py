@@ -3,15 +3,15 @@
 The contracts under test:
 
 * the global profiler ships disabled and every hook is inert then;
-* worker/cache/stage/memory attributions reduce to the documented
-  report shapes;
+* cache/stage/memory attributions reduce to the documented report
+  shapes;
 * flamegraph exports (collapsed-stack text + speedscope JSON) are pure
   functions of the spans — byte-identical across runs under a
   :class:`VirtualClock`, and the speedscope document's per-frame totals
   equal the tracer's own ``stage_totals`` (the 1% acceptance criterion
   holds exactly by construction);
-* the reader marks rounds merge-side and publishes ``profile`` stream
-  events that :class:`StreamAggregator` reduces back (``hot_stage``,
+* the reader marks rounds after each round's polls and publishes
+  ``profile`` stream events that :class:`StreamAggregator` reduces back (``hot_stage``,
   ``round_line``).
 """
 
@@ -33,7 +33,11 @@ from repro.obs.profiler import (
 from repro.obs.stream import MemorySink, StreamAggregator, TelemetryBus, use_bus
 from repro.obs.trace import Tracer, VirtualClock, use_tracer
 from repro.perf import LRUCache
-from repro.perf.fleet import FleetEngine
+from repro.perf.cache import CacheStats
+
+#: One hit and one miss on cache "c": saves one miss cost if any was timed.
+C_STATS = {"c": CacheStats(name="c", hits=1, misses=1, evictions=0,
+                           entries=1, maxsize=2)}
 
 
 class TestGlobalProfiler:
@@ -55,59 +59,11 @@ class TestGlobalProfiler:
 
     def test_disabled_hooks_are_inert(self):
         profiler = CampaignProfiler(enabled=False)
-        profiler.record_worker_sample(
-            worker="w", key=1, queue_wait_s=0.1, wall_s=0.2, cpu_s=0.2
-        )
-        profiler.record_engine_round(wall_s=1.0, width=2)
         profiler.record_cache_miss("c", 0.5)
         assert profiler.on_round(0.0) == {}
-        assert profiler.worker_report() == {}
+        assert profiler.cache_report(C_STATS)["c"]["saved_s"] == 0.0
         assert profiler.stage_totals() == {}
         assert profiler.round_snapshots == []
-
-
-class TestWorkerAttribution:
-    def test_report_math(self):
-        profiler = CampaignProfiler()
-        profiler.record_worker_sample(
-            worker="w0", key=1, queue_wait_s=0.1, wall_s=2.0, cpu_s=0.5
-        )
-        profiler.record_worker_sample(
-            worker="w0", key=2, queue_wait_s=0.3, wall_s=2.0, cpu_s=1.5
-        )
-        profiler.record_engine_round(wall_s=5.0, width=2)
-        report = profiler.worker_report()
-        w = report["w0"]
-        assert w["units"] == 2
-        assert w["busy_s"] == 4.0
-        assert w["gil_ratio"] == 0.5          # 2.0 cpu / 4.0 busy
-        assert w["utilization"] == 0.8        # 4.0 busy / 5.0 engine wall
-        assert w["queue_wait_s"] == 0.4
-        assert profiler.engine_wall_s() == 5.0
-
-    def test_fleet_engine_records_one_sample_per_unit(self):
-        profiler = CampaignProfiler()
-        engine = FleetEngine(max_workers=2)
-        try:
-            with use_profiler(profiler):
-                results = engine.run_round(
-                    {k: (lambda k=k: k * 10) for k in range(4)}
-                )
-        finally:
-            engine.shutdown()
-        assert results == [(k, k * 10) for k in range(4)]
-        report = profiler.worker_report()
-        assert sum(w["units"] for w in report.values()) == 4
-        assert all(name.startswith("fleet") for name in report)
-        assert profiler.engine_wall_s() > 0.0
-
-    def test_fleet_engine_disabled_profiler_records_nothing(self):
-        engine = FleetEngine(max_workers=1)
-        try:
-            engine.run_round({1: lambda: 1})
-        finally:
-            engine.shutdown()
-        assert get_profiler().worker_report() == {}
 
 
 class TestCacheAttribution:
@@ -156,17 +112,6 @@ class TestOnRound:
         assert totals["inner"]["total_s"] == 3.0  # one tick each
         assert [s["round"] for s in profiler.round_snapshots] == [0, 1]
 
-    def test_drains_pending_worker_samples_into_snapshot(self):
-        profiler = CampaignProfiler()
-        profiler.record_worker_sample(
-            worker="w0", key=1, queue_wait_s=0.0, wall_s=1.0, cpu_s=1.0
-        )
-        snap = profiler.on_round(0.0, tracer=Tracer(enabled=False))
-        assert snap["workers"]["w0"]["units"] == 1
-        # Drained: the next round starts clean.
-        again = profiler.on_round(1.0, tracer=Tracer(enabled=False))
-        assert "workers" not in again
-
     def test_memory_marks_and_close(self):
         assert not tracemalloc.is_tracing()
         profiler = CampaignProfiler(memory=True)
@@ -184,14 +129,14 @@ class TestOnRound:
     def test_reset_clears_everything(self):
         profiler = CampaignProfiler()
         profiler.record_cache_miss("c", 0.1)
-        profiler.record_worker_sample(
-            worker="w", key=1, queue_wait_s=0.0, wall_s=1.0, cpu_s=1.0
-        )
-        profiler.on_round(0.0, tracer=Tracer(enabled=False))
+        tracer = Tracer(clock=VirtualClock(tick=1.0))
+        self._traced(tracer)
+        profiler.on_round(0.0, tracer=tracer)
+        assert profiler.cache_report(C_STATS)["c"]["saved_s"] == 0.1
         profiler.reset()
         assert profiler.round_snapshots == []
-        assert profiler.worker_report() == {}
-        assert profiler.cache_report({}) == {}
+        assert profiler.stage_totals() == {}
+        assert profiler.cache_report(C_STATS)["c"]["saved_s"] == 0.0
 
 
 def _traced_campaign():
@@ -302,10 +247,6 @@ class TestToMetrics:
         with tracer.span("link.node"):
             pass
         profiler.on_round(0.0, tracer=tracer)
-        profiler.record_worker_sample(
-            worker="w0", key=1, queue_wait_s=0.25, wall_s=2.0, cpu_s=1.0
-        )
-        profiler.record_engine_round(wall_s=4.0, width=1)
         cache = LRUCache("t_prof_metrics", maxsize=2)
         with use_profiler(profiler):
             cache.get_or_compute("k", lambda: 1)
@@ -318,21 +259,12 @@ class TestToMetrics:
             "pab_profile_stage_seconds", stage="link.node"
         ) == 1.0
         assert registry.value(
-            "pab_profile_worker_busy_seconds", worker="w0"
-        ) == 2.0
-        assert registry.value(
-            "pab_profile_worker_gil_ratio", worker="w0"
-        ) == 0.5
-        assert registry.value(
-            "pab_profile_worker_utilization", worker="w0"
-        ) == 0.5
-        assert registry.value(
             "pab_profile_cache_saved_seconds", cache="t_prof_metrics"
         ) > 0.0
 
 
 # ---------------------------------------------------------------------------
-# Reader integration: merge-side round marks -> profile stream events
+# Reader integration: round marks -> profile stream events
 # ---------------------------------------------------------------------------
 
 

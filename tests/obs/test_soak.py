@@ -1,13 +1,13 @@
-"""Soak: a high-concurrency streamed campaign gating flush latency.
+"""Soak: a long streamed campaign gating flush latency.
 
 The CI ``soak`` job's payload (``pytest -m soak``): a 12-node chaos
-fleet on a 4-wide thread pool streams 300 rounds to a real JSONL file
+fleet polled sequentially streams 300 rounds to a real JSONL file
 with a flight recorder attached.  Gates:
 
 * p99 per-round flush latency stays under a generous bound — the
   stream writer must never become the campaign bottleneck;
 * the on-disk stream replays to the exact batch timeline (the
-  streamed == batch identity holds at soak length, under threads);
+  streamed == batch identity holds at soak length);
 * the recorder ring stays bounded the whole way.
 
 Latency bound note: 50 ms p99 is ~100x the typical observed flush on
@@ -30,13 +30,11 @@ from repro.obs.stream import (
     use_bus,
 )
 from repro.obs.timeline import build_timeline, timeline_to_jsonl
-from repro.perf.fleet import FleetEngine
 
 pytestmark = pytest.mark.soak
 
 ROUNDS = 300
 NODES = 12
-WIDTH = 4
 
 #: p99 per-round flush budget [s]; see the module docstring.
 P99_FLUSH_BUDGET_S = 0.05
@@ -96,10 +94,6 @@ def test_streamed_soak_campaign(tmp_path):
             metrics=MetricsRegistry(),
             ledgers=harnesses,
             slo=SLOTracker(window=20),
-            parallel=WIDTH,
-        )
-        assert reader._engine is not None and isinstance(
-            reader._engine, FleetEngine
         )
         report = reader.run_campaign(Command.READ_TEMPERATURE, ROUNDS)
     bus.close()
@@ -120,7 +114,7 @@ def test_streamed_soak_campaign(tmp_path):
     assert len(recorder) == 256
     assert recorder.events_seen > ROUNDS
 
-    # Streamed == batch at soak length, under threads.
+    # Streamed == batch at soak length.
     agg = StreamAggregator()
     agg.feed_file(path)
     assert agg.rounds_observed() == ROUNDS

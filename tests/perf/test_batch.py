@@ -112,10 +112,9 @@ def _campaign_digest(parallel, *, rounds=8, n=4, kill_at=None,
 class TestBatchIdentity:
     """``parallel="batch"`` is byte-identical to the sequential loop."""
 
-    def test_batch_matches_sequential_and_threads(self):
+    def test_batch_matches_sequential(self):
         sequential = _campaign_digest(0)
         assert _campaign_digest("batch") == sequential
-        assert _campaign_digest(2) == sequential
 
     def test_worker_crash_containment_identical(self):
         """A contained worker crash mid-window tears the plan down;

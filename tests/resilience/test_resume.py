@@ -27,8 +27,8 @@ pytestmark = pytest.mark.resilience
 ROUNDS = 12
 
 
-def run_clean(seed=11, parallel=0, rounds=ROUNDS):
-    reader, log, metrics = build_fleet(seed=seed, parallel=parallel)
+def run_clean(seed=11, rounds=ROUNDS):
+    reader, log, metrics = build_fleet(seed=seed)
     report = reader.run_campaign(Command.READ_TEMPERATURE, rounds=rounds)
     return campaign_digest(report, log, metrics)
 
@@ -62,21 +62,6 @@ class TestResumeIdentity:
         twin, tlog, tmetrics = build_fleet()
         report = twin.run_campaign(
             Command.READ_TEMPERATURE, rounds=ROUNDS, resume_from=doc
-        )
-        assert campaign_digest(report, tlog, tmetrics) == clean
-
-    def test_parallel_resume_matches_sequential_clean(self, tmp_path):
-        """Mode-mixing: checkpoint sequentially, resume in parallel."""
-        clean = run_clean()
-        reader, _, _ = build_fleet()
-        reader.run_campaign(
-            Command.READ_TEMPERATURE, rounds=ROUNDS,
-            checkpoint_every=6, checkpoint_dir=tmp_path,
-        )
-        twin, tlog, tmetrics = build_fleet(parallel=2)
-        report = twin.run_campaign(
-            Command.READ_TEMPERATURE, rounds=ROUNDS,
-            resume_from=checkpoint_path(tmp_path, 6),
         )
         assert campaign_digest(report, tlog, tmetrics) == clean
 

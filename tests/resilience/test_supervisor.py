@@ -134,7 +134,7 @@ class TestContainedCrashCampaigns:
         assert 0x22 not in reader._quarantined_shards
         assert reader._shard_crashes[0x22] == 4
 
-    @pytest.mark.parametrize("parallel", [0, 2])
+    @pytest.mark.parametrize("parallel", [0, "batch"])
     def test_fatal_crash_aborts_in_every_mode(self, parallel):
         reader, _, _ = build_fleet(parallel=parallel)
         install_worker_crash(reader, 0x20, rounds=(2,), fatal=True)
@@ -145,7 +145,7 @@ class TestContainedCrashCampaigns:
 class TestCrossModeIdentity:
     def test_contained_crash_digest_matches_across_modes(self):
         digests = []
-        for parallel in (0, 2):
+        for parallel in (0, "batch"):
             reader, log, metrics = build_fleet(parallel=parallel)
             install_worker_crash(reader, 0x21, rounds=(3,), crashes=3)
             report = reader.run_campaign(Command.READ_TEMPERATURE, rounds=8)

@@ -330,8 +330,8 @@ class TestStreamingCli:
         ]) == 0
         text = capsys.readouterr().out
         assert "Per-stage attribution" in text
-        assert "Worker attribution" in text
         assert "Cache savings" in text
+        assert "Batched engine attribution" in text
         assert "hot stage: link." in text
 
         record = json.loads(out.read_text())["records"][-1]
