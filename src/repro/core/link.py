@@ -16,6 +16,10 @@ the paper's physical loop.
 The reflection is applied to the *analytic* incident signal so that both
 the magnitude and phase of the complex reflection coefficient act on the
 carrier, multipath distortion included.
+
+Every exchange, observed or not, runs one path: the node's side of
+step 3 runs for real, and the pre-noise waveforms go through a per-link
+leg memo that ``caching_disabled()`` turns into a pass-through.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from repro.core.hydrophone import Hydrophone
 from repro.core.projector import Projector
 from repro.net.messages import Query, Response
 from repro.node.node import PABNode
-from repro.obs.probe import get_probes
+from repro.obs.probe import ProbeRegistry, get_probes
 from repro.obs.trace import NULL_SPAN, get_tracer
-from repro.perf.cache import LRUCache, cache_enabled
+from repro.perf.cache import LRUCache
 from repro.piezo.transducer import Transducer
 
 
@@ -80,11 +84,25 @@ class UplinkLeg(NamedTuple):
     total: int
     #: First mixture sample the demodulator reads.
     analysis_start: int
+    #: RMS of the direct and the backscattered arrival over the analysed
+    #: samples [Pa], for the ``hydrophone_mixture`` probe tap.  Measured
+    #: only on a leg built for a probe that wants that tap (such a leg
+    #: is never memoized); ``nan`` otherwise.
+    direct_rms_pa: float = float("nan")
+    uplink_rms_pa: float = float("nan")
 
 
 def _untraced(name: str, **attrs):
     """A stage opener that records nothing (legs built outside a trace)."""
     return NULL_SPAN
+
+
+#: The probe registry of legs built outside an exchange: captures nothing.
+_UNPROBED = ProbeRegistry(enabled=False)
+
+
+def _rms(x) -> float:
+    return float(np.sqrt(np.mean(x**2))) if len(x) else 0.0
 
 
 def reradiation_response(
@@ -247,6 +265,28 @@ class LinkResult:
         )
 
 
+class NodeReply(NamedTuple):
+    """The node's side of one exchange, up to the uplink waveform.
+
+    What :meth:`BackscatterLink._reply` returns to the live exchange and
+    to the batched engine's dry run alike.  Fields past the step the
+    exchange stopped at stay ``None``.
+    """
+
+    query: Query
+    budget: LinkBudget
+    powered: bool
+    decoded: Query | None = None
+    response: Response | None = None
+    chips: np.ndarray | None = None
+    #: The bitrate and resonance mode the reply ships under.
+    bitrate: float | None = None
+    mode: int | None = None
+    #: Leg-memo keys of the reply's carrier half and chip-dependent tail.
+    carrier_key: tuple | None = None
+    uplink_key: tuple | None = None
+
+
 class BackscatterLink:
     """A single PAB link inside a tank.
 
@@ -288,7 +328,9 @@ class BackscatterLink:
         probes capture intermediate waveforms and stage diagnostics,
         and a failed exchange is autopsied into a
         :class:`~repro.obs.postmortem.DecodePostmortem` (filed in the
-        registry, attached to the result and the active span).
+        registry, attached to the result and the active span).  Probes
+        change only which memo legs are computed: a leg whose stages an
+        enabled probe wants is computed instead of recalled.
     """
 
     #: The five per-exchange stage span names, in pipeline order.
@@ -387,7 +429,7 @@ class BackscatterLink:
         )
         self.hydrophone = Hydrophone(sample_rate)
         # Per-link memo for the deterministic waveform legs of an
-        # exchange (see _run_stages_cached).  A polling campaign repeats
+        # exchange (see _exchange).  A polling campaign repeats
         # the same few query/response shapes, so the expensive synthesis
         # and propagation convolutions hit after the first round.  The
         # size accommodates the split carrier/uplink entries plus the
@@ -507,10 +549,10 @@ class BackscatterLink:
     # -- waveform helpers ---------------------------------------------------------------
 
     def _node_band(self) -> tuple[float, float]:
-        """The node's receive band around its channel."""
+        """The node's receive band around its channel, inside (0, Nyquist)."""
         f0 = self.node.channel_frequency_hz
         half = max(self.node.transducer.bandwidth_hz, 1_000.0)
-        return f0 - half, f0 + half
+        return max(f0 - half, 1.0), min(f0 + half, self.sample_rate / 2.0 - 1.0)
 
     def _node_incident(self, tx_waveform) -> np.ndarray:
         """Incident pressure waveform at the node [Pa]."""
@@ -522,8 +564,6 @@ class BackscatterLink:
     def _node_selective(self, incident) -> np.ndarray:
         """Incident waveform as the node's resonant element senses it."""
         lo, hi = self._node_band()
-        hi = min(hi, self.sample_rate / 2.0 - 1.0)
-        lo = max(lo, 1.0)
         return butter_bandpass(incident, lo, hi, self.sample_rate, order=2)
 
     def _reradiation_response(self, n_samples: int) -> np.ndarray:
@@ -569,18 +609,6 @@ class BackscatterLink:
             * self.ch_projector_hydrophone.apply(tx, include_noise=False).waveform
         )
 
-    def _reply_window(
-        self, n_samples: int, reply_start: int, n_chips: int, bitrate: float
-    ) -> slice:
-        """The samples a reply of ``n_chips`` modulates.
-
-        From ``reply_start`` to the end of the last chip, clipped by the
-        end of the waveform.
-        """
-        spc = self.sample_rate / (2.0 * bitrate)
-        stop = min(reply_start + int(round(n_chips * spc)), n_samples)
-        return slice(reply_start, max(stop, reply_start))
-
     def _reply_gamma(self, chips, bitrate: float, n_samples: int) -> np.ndarray:
         """Per-sample complex reflection gain over a reply window."""
         _gamma_a, _gamma_r, trajectory = self.node.reflection_trajectory(
@@ -594,17 +622,6 @@ class BackscatterLink:
                 break
             gamma[a : int(round((k + 1) * spc))] = g
         return gamma
-
-    def _idle_reflection(self, analytic, mode: int) -> np.ndarray:
-        """``real(gamma_a * analytic)``, with ``gamma_a`` of ``mode``.
-
-        The mode is passed, never read from the node: the batched engine
-        builds legs for predicted exchanges.
-        """
-        gamma_a, _gamma_r = self.node.bank.reflection_states(
-            mode, self.projector.carrier_hz
-        )
-        return np.ascontiguousarray(np.real(gamma_a * analytic))
 
     def _reflected(
         self, idle, window, reply_start: int, chips, bitrate: float
@@ -651,27 +668,6 @@ class BackscatterLink:
             reflected = moved[: len(reflected)]
         return reflected
 
-    def _backscatter_waveform(
-        self, incident, chips, uplink_start_at_node: int
-    ) -> np.ndarray:
-        """Reflected pressure (at 1 m from the node) given incident waveform.
-
-        The reflection coefficient trajectory multiplies the analytic
-        incident signal; outside the reply the node idles in the
-        absorptive state (see :meth:`_reflected`).
-        """
-        analytic = hilbert(np.asarray(incident, dtype=float))
-        bitrate = self.node.bitrate
-        reply = self._reply_window(
-            len(analytic), uplink_start_at_node, len(chips), bitrate
-        )
-        idle = self._idle_reflection(
-            analytic, self.node.firmware.config.resonance_mode
-        )
-        return self._reradiate(
-            self._reflected(idle, analytic[reply], reply.start, chips, bitrate)
-        )
-
     def _slim_carrier(
         self,
         analytic,
@@ -681,12 +677,22 @@ class BackscatterLink:
         bitrate: float,
         mode: int,
     ) -> CarrierLeg:
-        """Cut a propagated carrier down to the :class:`CarrierLeg` it memoizes."""
+        """Cut a propagated carrier down to the :class:`CarrierLeg` it memoizes.
+
+        The reply window runs from ``reply_start`` to the end of the last
+        chip, clipped by the end of the waveform.  ``gamma_a`` is that of
+        ``mode``, never read from the node: the batched engine builds
+        legs for predicted exchanges.
+        """
         reply_start, analysis_start = self._leg_offsets(uplink_start)
-        reply = self._reply_window(len(analytic), reply_start, n_chips, bitrate)
+        spc = self.sample_rate / (2.0 * bitrate)
+        end = min(reply_start + int(round(n_chips * spc)), len(analytic))
+        gamma_a, _gamma_r = self.node.bank.reflection_states(
+            mode, self.projector.carrier_hz
+        )
         return CarrierLeg(
-            idle=self._idle_reflection(analytic, mode),
-            window=analytic[reply].copy(),
+            idle=np.ascontiguousarray(np.real(gamma_a * analytic)),
+            window=analytic[reply_start : max(end, reply_start)].copy(),
             reply_start=reply_start,
             direct_tail=direct[analysis_start:].copy(),
             direct_len=len(direct),
@@ -700,6 +706,7 @@ class BackscatterLink:
         bitrate: float,
         mode: int,
         stage=_untraced,
+        probes=_UNPROBED,
     ) -> CarrierLeg:
         """The reply-payload-independent half of the uplink leg.
 
@@ -711,7 +718,9 @@ class BackscatterLink:
         Splitting this out of the uplink memo means a node whose sensor
         reading drifts between rounds only recomputes the cheap
         chip-dependent tail, not the hilbert transform and two channel
-        convolutions.  ``stage(name, **attrs)`` opens each stage's span.
+        convolutions.  ``stage(name, **attrs)`` opens each stage's span;
+        ``probes`` receives the ``tx_waveform`` and ``incident_carrier``
+        taps.
         """
         fs = self.sample_rate
         uplink_s = n_chips / (2.0 * bitrate) + self.UPLINK_MARGIN_S
@@ -720,10 +729,22 @@ class BackscatterLink:
                 query, uplink_s, fs
             )
             sp.set(samples=len(tx))
+        if probes.wants("link.pwm_synthesis"):
+            probes.capture(
+                "link.pwm_synthesis", "tx_waveform",
+                waveform=tx, sample_rate=fs, segment="query_then_carrier",
+                uplink_start=int(uplink_start),
+            )
         with stage(
             "link.downlink_propagation", segment="carrier", samples=len(tx)
         ):
             incident = self._node_incident(tx)
+        if probes.wants("link.downlink_propagation"):
+            probes.capture(
+                "link.downlink_propagation", "incident_carrier",
+                waveform=incident, sample_rate=fs, segment="carrier",
+                band_snr_db=band_snr_db(incident, fs, *self._node_band()),
+            )
         with stage("link.uplink_propagation", segment="direct", samples=len(tx)):
             direct = self._direct_arrival(tx)
         with stage("link.node", phase="backscatter", segment="carrier"):
@@ -749,15 +770,21 @@ class BackscatterLink:
         return UplinkLeg(tail, total, start)
 
     def _uplink_leg(
-        self, carrier: CarrierLeg, chips, bitrate: float, stage=_untraced
+        self,
+        carrier: CarrierLeg,
+        chips,
+        bitrate: float,
+        stage=_untraced,
+        probes=_UNPROBED,
     ) -> UplinkLeg:
         """The chip-dependent tail of the uplink leg.
 
         Modulates the memoized carrier with this reply's reflection
         trajectory, re-radiates it, propagates it to the hydrophone, and
-        mixes it with the direct carrier — the same operations on the
-        same inputs as the uncached exchange, so the analysed tail of
-        the quiet mixture is byte-identical.
+        mixes it with the direct carrier.  Every step is elementwise over
+        the whole waveform, so the analysed tail of the quiet mixture is
+        the whole mixture's tail bit for bit.  ``probes`` receives the
+        ``backscatter_reflected`` tap.
         """
         with stage("link.node", phase="backscatter", chips=len(chips)):
             reflected = self._reradiate(
@@ -766,22 +793,52 @@ class BackscatterLink:
                     chips, bitrate,
                 )
             )
+        if probes.wants("link.node"):
+            probes.capture(
+                "link.node", "backscatter_reflected",
+                waveform=reflected, sample_rate=self.sample_rate,
+                reply_start=int(carrier.reply_start), chips=len(chips),
+            )
         with stage("link.uplink_propagation", samples=len(reflected)):
             uplink = self.ch_node_hydrophone.apply(
                 reflected, include_noise=False
             ).waveform
-            return self._quiet_tail(carrier, uplink)
+            leg = self._quiet_tail(carrier, uplink)
+        if probes.wants("link.uplink_propagation"):
+            leg = leg._replace(
+                direct_rms_pa=_rms(carrier.direct_tail),
+                uplink_rms_pa=_rms(uplink[leg.analysis_start:]),
+            )
+        return leg
 
-    def _record_tail(self, leg: UplinkLeg) -> np.ndarray:
+    def _record_tail(self, leg: UplinkLeg, probes=_UNPROBED) -> np.ndarray:
         """Draw this exchange's noise and record the analysed tail.
 
         The noise stream advances by the whole mixture, as the exchange
         always has; only the tail the demodulator reads is summed and
         recorded.  ``record()`` is elementwise, so this equals slicing a
-        recording of the whole mixture bit for bit.
+        recording of the whole mixture bit for bit.  ``probes`` receives
+        the ``hydrophone_mixture`` tap: the noisy mixture from
+        ``analysis_start`` on.
         """
-        noise = self.noise.generate(leg.total, self.sample_rate)
-        return self.hydrophone.record(leg.tail + noise[leg.analysis_start:])
+        fs = self.sample_rate
+        noise = self.noise.generate(leg.total, fs)
+        mixture = leg.tail + noise[leg.analysis_start:]
+        if probes.wants("link.uplink_propagation"):
+            f = self.projector.carrier_hz
+            chip_rate = 2.0 * self.node.bitrate
+            probes.capture(
+                "link.uplink_propagation", "hydrophone_mixture",
+                waveform=mixture, sample_rate=fs,
+                band_snr_db=band_snr_db(
+                    mixture, fs,
+                    max(f - chip_rate, 10.0), min(f + chip_rate, fs / 2.0 - 1.0),
+                ),
+                uplink_rms_pa=leg.uplink_rms_pa,
+                direct_rms_pa=leg.direct_rms_pa,
+                analysis_start=int(leg.analysis_start),
+            )
+        return self.hydrophone.record(mixture)
 
     # -- the exchange ----------------------------------------------------------------------
 
@@ -833,7 +890,7 @@ class BackscatterLink:
         leg and once for the full transmission) simply emits another
         span with the same name, and per-stage reports aggregate by
         name.  Every stage span is tagged ``source`` (see
-        :meth:`_stage`), whether the exchange took the leg memo or not.
+        :meth:`_stage`).
 
         When signal probes are enabled the stages additionally publish
         waveform taps, and a failed exchange is autopsied into a
@@ -845,10 +902,7 @@ class BackscatterLink:
         if probes.enabled:
             txn = probes.begin_transaction()
         with tracer.span("link.transact", destination=int(query.destination)) as root:
-            if self._memo_active():
-                result = self._run_stages_cached(query, tracer)
-            else:
-                result = self._run_stages(query, tracer, probes)
+            result = self._exchange(query, tracer, probes)
             if probes.enabled and not result.success:
                 from repro.obs.postmortem import DecodePostmortem
 
@@ -862,23 +916,6 @@ class BackscatterLink:
         self._observe(result)
         return result
 
-    def _memo_active(self) -> bool:
-        """Whether this link's exchanges may take the leg memo.
-
-        Not when caching is off, when probes want the actual
-        intermediate waveforms, or when an energy ledger wants the
-        firmware's real decode dwell times.  Tracing does not gate it:
-        the memoized path opens the same stage spans.  The memo never
-        changes outputs — the gates protect observability, not
-        correctness.  The batched engine plans only links for which
-        this holds.
-        """
-        return (
-            cache_enabled()
-            and not self._probes().enabled
-            and self.node.firmware.ledger is None
-        )
-
     @staticmethod
     def _stage(tracer, name: str, source: str, **attrs):
         """Open stage span ``name``, tagged with where its result came from.
@@ -889,129 +926,176 @@ class BackscatterLink:
         """
         return tracer.span(name, source=source, **attrs)
 
-    def _recall(self, tracer, key, compute, stages):
+    def _recall(self, tracer, probes, key, compute, stages):
         """Leg-memo entry ``key``, computed stage by stage on a miss.
 
         ``compute(stage)`` builds the leg, opening each stage's span
         through ``stage(name, **attrs)``, tagged ``computed``.  On a hit
         ``stages`` — the ``(name, attrs)`` spans the leg stands in for —
         open empty, tagged ``recalled``, so a traced exchange shows every
-        stage whichever way its legs were obtained.
+        stage whichever way its legs were obtained.  When enabled probes
+        want any of ``stages`` the leg is computed, outside the memo, so
+        the probes see its waveforms.
         """
+        stage = partial(self._stage, tracer, source="computed")
+        if probes.enabled and any(probes.wants(name) for name, _ in stages):
+            return compute(stage)
         hit = key in self._leg_memo
-        leg = self._leg_memo.get_or_compute(
-            key,
-            lambda: compute(partial(self._stage, tracer, source="computed")),
-        )
+        leg = self._leg_memo.get_or_compute(key, lambda: compute(stage))
         if hit:
             for name, attrs in stages:
                 with self._stage(tracer, name, "recalled", **attrs):
                     pass
         return leg
 
-    def _decode_query(self, query: Query, stage) -> Query | None:
+    def _decode_query(self, query: Query, stage, probes) -> Query | None:
         """The node's decode of the query waveform (a memoized leg).
 
         The PWM decode is pure DSP on the query envelope (the node is
-        powered and unledgered on the memo path, and the PWM code is
-        fixed at construction), so only the decoded query is kept.
+        powered, and the PWM code is fixed at construction), so only the
+        decoded query is kept.  A ledgered node's decode books no energy
+        flow: nothing steps its capacitor while the link decodes.
         """
         fs = self.sample_rate
         with stage("link.pwm_synthesis", segment="query") as sp:
             query_wave = self.projector.query_waveform(query, fs)
             sp.set(samples=len(query_wave))
+        if probes.wants("link.pwm_synthesis"):
+            probes.capture(
+                "link.pwm_synthesis", "query_waveform",
+                waveform=query_wave, sample_rate=fs, segment="query",
+            )
         with stage(
             "link.downlink_propagation", segment="query", samples=len(query_wave)
         ):
             incident = self._node_incident(query_wave)
+        if probes.wants("link.downlink_propagation"):
+            probes.capture(
+                "link.downlink_propagation", "incident_query",
+                waveform=incident, sample_rate=fs, segment="query",
+                band_snr_db=band_snr_db(incident, fs, *self._node_band()),
+            )
         with stage("link.node", phase="decode_query") as sp:
             env = envelope_detect(
                 self._node_selective(incident), self.projector.carrier_hz, fs
             )
             decoded = self.node.receive_query(env, fs)
             sp.set(decoded=decoded is not None)
+        if probes.wants("link.node"):
+            probes.capture(
+                "link.node", "query_envelope",
+                waveform=env, sample_rate=fs, decoded=decoded is not None,
+            )
         return decoded
 
-    def _run_stages_cached(self, query: Query, tracer) -> LinkResult:
-        """The exchange with memoized deterministic legs.
+    def _reply(self, query: Query, decode, tracer, probes) -> NodeReply:
+        """The exchange up to the uplink waveform.
+
+        Budget, power-up, the node's decode of the query, command
+        execution and reply framing, moving the node's state exactly as
+        the exchange does.  The live exchange and the batched engine's
+        dry run both run these steps; they differ only in
+        ``decode(query, key)``, which returns the node's decode of the
+        query waveform (leg-memo entry ``key``).  ``response_sent`` is
+        left to the caller.
+        """
+        node = self.node
+        mode = node.firmware.config.resonance_mode
+        budget_key = ("budget", mode, node.bitrate)
+        source = "recalled" if budget_key in self._leg_memo else "computed"
+        with self._stage(tracer, "link.node", source, phase="power_up") as sp:
+            budget = self._leg_memo.get_or_compute(budget_key, self.budget)
+            powered = node.try_power_up(
+                budget.incident_pressure_pa, self.projector.carrier_hz
+            )
+            sp.set(powered_up=powered)
+        if probes.wants("link.node"):
+            probes.capture(
+                "link.node", "power_up",
+                incident_pressure_pa=budget.incident_pressure_pa,
+                powered=powered,
+                predicted_snr_db=budget.predicted_snr_db,
+            )
+        if not powered:
+            return NodeReply(query, budget, powered=False)
+        decoded = decode(query, ("downlink_decode", query, mode))
+        if decoded is None:
+            return NodeReply(query, budget, powered=True)
+        with self._stage(tracer, "link.node", "computed", phase="respond") as sp:
+            response = node.respond(decoded)
+            if response is None:
+                return NodeReply(query, budget, powered=True, decoded=decoded)
+            chips = node.uplink_chips(response)
+            sp.set(chips=len(chips))
+        if probes.wants("link.node"):
+            probes.capture(
+                "link.node", "uplink_chips",
+                waveform=np.asarray(chips, dtype=float), chips=len(chips),
+            )
+        # Re-read after respond(): SET_BITRATE / SET_RESONANCE_MODE take
+        # effect mid-exchange and the reply already ships under the new
+        # setting, so the uplink legs are keyed by the post-command values.
+        bitrate = node.bitrate
+        mode = node.firmware.config.resonance_mode
+        return NodeReply(
+            query, budget, True, decoded, response, chips, bitrate, mode,
+            carrier_key=("carrier", query, len(chips), bitrate, mode),
+            uplink_key=("uplink", query, chips.tobytes(), bitrate, mode),
+        )
+
+    def _exchange(self, query: Query, tracer, probes) -> LinkResult:
+        """The exchange, with its deterministic legs through the leg memo.
 
         Every waveform between the projector and the hydrophone is a
         pure function of (query, reply chips, node config) except the
-        ambient noise, which is added after the memoized pre-noise
-        mixture is retrieved.  Node firmware still executes for real
-        where it mutates state — power-up, command handling, and reply
-        framing — and the noise stream advances exactly once per
-        exchange, as in the uncached path, so a cached campaign is
-        byte-identical to an uncached one.
-
-        The stage spans are those of :meth:`_run_stages`, tagged by
-        :meth:`_stage`; the noise draw, per-exchange work, runs under
-        ``link.hydrophone_dsp`` with the demodulation it feeds.
+        ambient noise, which is added after the pre-noise mixture is
+        obtained (:meth:`_recall`; with caching off the memo passes every
+        computation through).  Node firmware runs for real where it
+        mutates state — power-up, command handling, reply framing — and
+        the noise stream advances exactly once per exchange, drawn under
+        ``link.hydrophone_dsp`` with the demodulation it feeds, so a
+        cached campaign is byte-identical to an uncached one.  A batch
+        hint stands in for the noise draw and demodulation only while
+        probes are off.
         """
-        f = self.projector.carrier_hz
-        node = self.node
-        memo = self._leg_memo
-        mode = node.firmware.config.resonance_mode
-        bitrate = node.bitrate
-        budget_key = ("budget", mode, bitrate)
-        source = "recalled" if budget_key in memo else "computed"
-        with self._stage(tracer, "link.node", source, phase="power_up") as sp:
-            budget = memo.get_or_compute(budget_key, self.budget)
-            powered = node.try_power_up(budget.incident_pressure_pa, f)
-            sp.set(powered_up=powered)
-        if not powered:
-            return LinkResult(
-                powered_up=False, query_decoded=False, response=None,
-                demod=None, ber=float("nan"), snr_db=float("nan"), budget=budget,
-            )
-
-        decoded_query = self._recall(
-            tracer, ("downlink_decode", query, mode),
-            lambda stage: self._decode_query(query, stage),
-            self._QUERY_STAGES,
+        reply = self._reply(
+            query,
+            lambda q, key: self._recall(
+                tracer, probes, key,
+                lambda stage: self._decode_query(q, stage, probes),
+                self._QUERY_STAGES,
+            ),
+            tracer, probes,
         )
-        if decoded_query is None:
+        if reply.response is None:
             return LinkResult(
-                powered_up=True, query_decoded=False, response=None,
-                demod=None, ber=float("nan"), snr_db=float("nan"), budget=budget,
+                powered_up=reply.powered,
+                query_decoded=reply.decoded is not None,
+                response=None, demod=None, ber=float("nan"),
+                snr_db=float("nan"), budget=reply.budget,
             )
-
-        with self._stage(tracer, "link.node", "computed", phase="respond") as sp:
-            response = node.respond(decoded_query)
-            if response is None:
-                return LinkResult(
-                    powered_up=True, query_decoded=True, response=None,
-                    demod=None, ber=float("nan"), snr_db=float("nan"),
-                    budget=budget,
-                )
-            chips = node.uplink_chips(response)
-            sp.set(chips=len(chips))
-        # Re-read after respond(): SET_BITRATE / SET_RESONANCE_MODE take
-        # effect mid-exchange, and the reply already ships under the new
-        # setting (the uncached path reads both inside the uplink stage),
-        # so the uplink leg must be keyed by the post-command values.
-        bitrate = node.bitrate
-        mode = node.firmware.config.resonance_mode
+        chips, bitrate, mode = reply.chips, reply.bitrate, reply.mode
 
         def uplink_leg(stage) -> UplinkLeg:
             carrier = self._recall(
-                tracer, ("carrier", query, len(chips), bitrate, mode),
-                lambda st: self._carrier_leg(query, len(chips), bitrate, mode, st),
+                tracer, probes, reply.carrier_key,
+                lambda st: self._carrier_leg(
+                    query, len(chips), bitrate, mode, st, probes
+                ),
                 self._CARRIER_STAGES,
             )
-            return self._uplink_leg(carrier, chips, bitrate, stage)
+            return self._uplink_leg(carrier, chips, bitrate, stage, probes)
 
-        uplink_key = ("uplink", query, chips.tobytes(), bitrate, mode)
         leg = self._recall(
-            tracer, uplink_key, uplink_leg,
+            tracer, probes, reply.uplink_key, uplink_leg,
             self._CARRIER_STAGES + self._TAIL_STAGES,
         )
-        node.firmware.response_sent()
+        self.node.firmware.response_sent()
 
-        uplink_format = node.firmware.config.uplink_format
+        uplink_format = self.node.firmware.config.uplink_format
         hint = self._batch_hints.pop(
-            (uplink_key, self._noise_token()), None
-        ) if self._batch_hints else None
+            (reply.uplink_key, self._noise_token()), None
+        ) if self._batch_hints and not probes.enabled else None
         with self._stage(
             tracer, "link.hydrophone_dsp",
             "computed" if hint is None else "batched", samples=leg.total,
@@ -1027,192 +1111,13 @@ class BackscatterLink:
                 self.noise.restore_state(noise_after)
             else:
                 demod = self.hydrophone.demodulate(
-                    self._record_tail(leg),
-                    f,
+                    self._record_tail(leg, probes),
+                    self.projector.carrier_hz,
                     bitrate,
                     packet_format=uplink_format,
                     detection_threshold=self.DETECTION_THRESHOLD,
                 )
-            true_bits = response.to_packet().to_bits(uplink_format)
-            ber = (
-                bit_error_rate(demod.bits, true_bits)
-                if len(demod.bits)
-                else float("nan")
-            )
-            sp.set(crc_ok=demod.success, snr_db=demod.snr_db)
-        return LinkResult(
-            powered_up=True,
-            query_decoded=True,
-            response=response,
-            demod=demod,
-            ber=ber,
-            snr_db=demod.snr_db,
-            budget=budget,
-        )
-
-    def _run_stages(self, query: Query, tracer, probes) -> LinkResult:
-        """The exchange computed stage by stage, every intermediate real.
-
-        Taken when :meth:`_memo_active` refuses the memo: caching is
-        off, probes capture each stage's waveforms, or a ledgered node
-        books real dwells.
-        """
-        fs = self.sample_rate
-        f = self.projector.carrier_hz
-        stage = partial(self._stage, tracer, source="computed")
-        budget = self.budget()
-
-        # 1. Power-up check from the downlink illumination.
-        with stage("link.node", phase="power_up") as sp:
-            powered = self.node.try_power_up(budget.incident_pressure_pa, f)
-            sp.set(powered_up=powered)
-        if probes.wants("link.node"):
-            probes.capture(
-                "link.node", "power_up",
-                incident_pressure_pa=budget.incident_pressure_pa,
-                powered=powered,
-                predicted_snr_db=budget.predicted_snr_db,
-            )
-        if not powered:
-            return LinkResult(
-                powered_up=False, query_decoded=False, response=None,
-                demod=None, ber=float("nan"), snr_db=float("nan"), budget=budget,
-            )
-
-        # 2. Node-side query decode (waveform level).
-        with stage("link.pwm_synthesis", segment="query") as sp:
-            query_wave = self.projector.query_waveform(query, fs)
-            sp.set(samples=len(query_wave))
-        if probes.wants("link.pwm_synthesis"):
-            probes.capture(
-                "link.pwm_synthesis", "query_waveform",
-                waveform=query_wave, sample_rate=fs, segment="query",
-            )
-        with stage(
-            "link.downlink_propagation", segment="query", samples=len(query_wave)
-        ):
-            incident_query = self._node_incident(query_wave)
-        if probes.wants("link.downlink_propagation"):
-            lo, hi = self._node_band()
-            probes.capture(
-                "link.downlink_propagation", "incident_query",
-                waveform=incident_query, sample_rate=fs, segment="query",
-                band_snr_db=band_snr_db(incident_query, fs, lo, hi),
-            )
-        with stage("link.node", phase="decode_query") as sp:
-            env = envelope_detect(
-                self._node_selective(incident_query), f, fs
-            )
-            decoded_query = self.node.receive_query(env, fs)
-            sp.set(decoded=decoded_query is not None)
-        if probes.wants("link.node"):
-            probes.capture(
-                "link.node", "query_envelope",
-                waveform=env, sample_rate=fs,
-                decoded=decoded_query is not None,
-            )
-        if decoded_query is None:
-            return LinkResult(
-                powered_up=True, query_decoded=False, response=None,
-                demod=None, ber=float("nan"), snr_db=float("nan"), budget=budget,
-            )
-
-        # 3. Execute the command; build the reply.
-        with stage("link.node", phase="respond") as sp:
-            response = self.node.respond(decoded_query)
-            if response is None:
-                return LinkResult(
-                    powered_up=True, query_decoded=True, response=None,
-                    demod=None, ber=float("nan"), snr_db=float("nan"),
-                    budget=budget,
-                )
-            chips = self.node.uplink_chips(response)
-            sp.set(chips=len(chips))
-        if probes.wants("link.node"):
-            probes.capture(
-                "link.node", "uplink_chips",
-                waveform=np.asarray(chips, dtype=float),
-                chips=len(chips),
-            )
-        chip_rate = 2.0 * self.node.bitrate
-        uplink_s = len(chips) / chip_rate + self.UPLINK_MARGIN_S
-
-        # 4. Full transmission and physical propagation.
-        with stage("link.pwm_synthesis", segment="query_then_carrier") as sp:
-            tx, uplink_start = self.projector.query_then_carrier(
-                query, uplink_s, fs
-            )
-            sp.set(samples=len(tx))
-        if probes.wants("link.pwm_synthesis"):
-            probes.capture(
-                "link.pwm_synthesis", "tx_waveform",
-                waveform=tx, sample_rate=fs, segment="query_then_carrier",
-                uplink_start=int(uplink_start),
-            )
-        with stage(
-            "link.downlink_propagation", segment="carrier", samples=len(tx)
-        ):
-            incident = self._node_incident(tx)
-        if probes.wants("link.downlink_propagation"):
-            lo, hi = self._node_band()
-            probes.capture(
-                "link.downlink_propagation", "incident_carrier",
-                waveform=incident, sample_rate=fs, segment="carrier",
-                band_snr_db=band_snr_db(incident, fs, lo, hi),
-            )
-        reply_start, analysis_start = self._leg_offsets(uplink_start)
-        with stage("link.node", phase="backscatter", chips=len(chips)):
-            reflected = self._backscatter_waveform(incident, chips, reply_start)
-            self.node.firmware.response_sent()
-        if probes.wants("link.node"):
-            probes.capture(
-                "link.node", "backscatter_reflected",
-                waveform=reflected, sample_rate=fs,
-                reply_start=int(reply_start), chips=len(chips),
-            )
-
-        # 5. Hydrophone mixture: direct + backscatter + noise.
-        with stage("link.uplink_propagation", samples=len(tx)):
-            direct = self._direct_arrival(tx)
-            uplink = self.ch_node_hydrophone.apply(
-                reflected, include_noise=False
-            ).waveform
-            n = max(len(direct), len(uplink))
-            mixture = np.zeros(n)
-            mixture[: len(direct)] += direct
-            mixture[: len(uplink)] += uplink
-            mixture += self.noise.generate(n, fs)
-        if probes.wants("link.uplink_propagation"):
-            chip_band = (
-                max(f - chip_rate, 10.0),
-                min(f + chip_rate, fs / 2.0 - 1.0),
-            )
-            probes.capture(
-                "link.uplink_propagation", "hydrophone_mixture",
-                waveform=mixture, sample_rate=fs,
-                band_snr_db=band_snr_db(mixture, fs, *chip_band),
-                uplink_rms_pa=float(np.sqrt(np.mean(uplink**2)))
-                if len(uplink) else 0.0,
-                direct_rms_pa=float(np.sqrt(np.mean(direct**2)))
-                if len(direct) else 0.0,
-            )
-
-        # 6. Receiver decode: skip the query portion of the recording (the
-        # PWM edges would confuse the modulation extractor), as the
-        # paper's offline decoder does by segmenting on the FFT energy
-        # (analysis_start, see _leg_offsets).
-        with stage("link.hydrophone_dsp", samples=len(mixture)) as sp:
-            recording = self.hydrophone.record(mixture)
-            uplink_format = self.node.firmware.config.uplink_format
-            demod = self.hydrophone.demodulate(
-                recording[analysis_start:],
-                f,
-                self.node.bitrate,
-                packet_format=uplink_format,
-                detection_threshold=self.DETECTION_THRESHOLD,
-            )
-
-            true_bits = response.to_packet().to_bits(uplink_format)
+            true_bits = reply.response.to_packet().to_bits(uplink_format)
             ber = (
                 bit_error_rate(demod.bits, true_bits)
                 if len(demod.bits)
@@ -1222,20 +1127,20 @@ class BackscatterLink:
         if probes.wants("link.hydrophone_dsp"):
             probes.capture(
                 "link.hydrophone_dsp", "analysis_segment",
-                analysis_start=int(analysis_start),
-                samples=len(recording) - int(analysis_start),
+                analysis_start=int(leg.analysis_start),
+                samples=leg.total - int(leg.analysis_start),
                 crc_ok=demod.success, snr_db=demod.snr_db, ber=ber,
-                predicted_snr_db=budget.predicted_snr_db,
+                predicted_snr_db=reply.budget.predicted_snr_db,
                 error=demod.error or "",
             )
         return LinkResult(
             powered_up=True,
             query_decoded=True,
-            response=response,
+            response=reply.response,
             demod=demod,
             ber=ber,
             snr_db=demod.snr_db,
-            budget=budget,
+            budget=reply.budget,
         )
 
     def measure_uplink_snr(self, query: Query) -> float:
@@ -1245,36 +1150,29 @@ class BackscatterLink:
         transmitted sequence is known to the experimenter, the channel is
         estimated against it, and the residual is the noise.  Using the
         true reply timing decouples the SNR metric from packet-detection
-        failures at extreme bitrates.
+        failures at extreme bitrates.  The analysed segment is the one
+        the exchange records (same legs, same noise draw).
         """
         fs = self.sample_rate
-        f = self.projector.carrier_hz
         self.node.force_power(True)
         response = self.node.respond(query)
         if response is None:
             raise ValueError("query produced no response")
         chips = self.node.uplink_chips(response)
-        chip_rate = 2.0 * self.node.bitrate
-        uplink_s = len(chips) / chip_rate + self.UPLINK_MARGIN_S
-        tx, uplink_start = self.projector.query_then_carrier(query, uplink_s, fs)
-        incident = self._node_incident(tx)
-        reply_start, analysis_start = self._leg_offsets(uplink_start)
-        reflected = self._backscatter_waveform(incident, chips, reply_start)
+        bitrate = self.node.bitrate
+        carrier = self._carrier_leg(
+            query, len(chips), bitrate, self.node.firmware.config.resonance_mode
+        )
+        leg = self._uplink_leg(carrier, chips, bitrate)
         self.node.firmware.response_sent()
-        direct = self.ch_projector_hydrophone.apply(tx, include_noise=False).waveform
-        uplink = self.ch_node_hydrophone.apply(reflected, include_noise=False).waveform
-        n = max(len(direct), len(uplink))
-        mixture = np.zeros(n)
-        mixture[: len(direct)] += direct
-        mixture[: len(uplink)] += uplink
-        mixture += self.noise.generate(n, fs)
-        recording = self.hydrophone.record(mixture)
         fmt = self.node.firmware.config.uplink_format
-        dem = self.hydrophone.demodulator(f, self.node.bitrate, packet_format=fmt)
-        baseband, _cfo = dem.to_baseband(recording[analysis_start:])
+        dem = self.hydrophone.demodulator(
+            self.projector.carrier_hz, bitrate, packet_format=fmt
+        )
+        baseband, _cfo = dem.to_baseband(self._record_tail(leg))
         modulation = dem.extract_modulation(baseband)
         delay_nh = int(round(self.ch_node_hydrophone.direct_path.delay_s * fs))
-        true_start = reply_start + delay_nh - analysis_start
+        true_start = carrier.reply_start + delay_nh - carrier.analysis_start
         amps = dem.chip_matched_filter(modulation, max(true_start, 0))
         from repro.dsp.fm0 import fm0_expected_chips
         from repro.dsp.metrics import snr_db as snr_db_fn

@@ -29,7 +29,7 @@ Publishers (stage names as recorded on the taps):
 ``link.pwm_synthesis``    projector waveforms (query, query+carrier)
 ``link.downlink_propagation``  incident pressure at the node
 ``link.node``             power-up, query envelope, uplink chips, backscatter
-``link.uplink_propagation``    hydrophone mixture (direct + uplink + noise)
+``link.uplink_propagation``    analysed hydrophone mixture (direct + uplink + noise)
 ``link.hydrophone_dsp``   analysis-segment bookkeeping
 ``hydrophone.demodulate`` recording + decode outcome (CRC, SNR, CFO)
 ``sync.detect_packet``    preamble correlation, peak/threshold margin, timing

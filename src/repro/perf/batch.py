@@ -15,11 +15,13 @@ Architecture — a predictive prepass, not a parallel executor
 sequential loop.  Once every ``window`` rounds it plans the coming
 *window* of rounds in one shot:
 
-* **Plan** (phase A): for each pollable address whose link takes the
-  leg memo, dry-run the deterministic half of every exchange the node
-  will run this window — power-up, query decode, command execution,
-  reply framing — against the link's own node, snapshotting the node +
-  noise RNG state first and restoring it after.  The dry run discovers
+* **Plan** (phase A): for each pollable address whose link the dry run
+  may plan (:func:`plannable`), dry-run the deterministic half of every
+  exchange the node will run this window — the link's own pre-uplink
+  steps (``BackscatterLink._reply``: power-up, query decode, command
+  execution, reply framing) — against the link's own node,
+  snapshotting the node state first and restoring it after (the dry
+  run draws no noise).  The dry run discovers
   exactly which leg-memo keys each live exchange will need (query
   decode, carrier leg, uplink tail) and which are missing; it runs with
   tracing off, so a traced campaign shows it as one ``batch.prewarm``
@@ -56,8 +58,8 @@ sequential loop.  Once every ``window`` rounds it plans the coming
   stays covered by precomputed work.
 
 The live sequential rounds then simply hit the seeded memos, and
-``BackscatterLink._run_stages_cached`` consumes a hint only when the
-exchange is about to draw the very noise samples the prepass drew.  Any
+``BackscatterLink.run_query`` consumes a hint only when the exchange,
+unprobed, is about to draw the very noise samples the prepass drew.  Any
 divergence — an injected fault, a MAC retry, a mid-round
 reconfiguration, a checkpoint restore — misses the token and falls back
 to inline computation, so digest identity is structural rather than
@@ -74,13 +76,18 @@ import numpy as np
 import scipy.fft
 from scipy.signal import fftconvolve, hilbert
 
-from repro.core.link import BackscatterLink, CarrierLeg, UplinkLeg
+from repro.core.link import BackscatterLink, CarrierLeg, NodeReply, UplinkLeg
 from repro.dsp.filters import butter_bandpass, butter_lowpass, envelope_detect
 from repro.dsp.sync import batched_preamble_correlation, correct_cfo, estimate_cfo
 from repro.dsp.waveforms import downconvert
 from repro.net.health import HealthState
 from repro.net.messages import Command, Query
 from repro.obs.trace import Tracer, get_tracer, use_tracer
+from repro.perf.cache import cache_enabled
+
+#: The tracer the dry run runs under: it replays node firmware that a
+#: trace must not show as extra exchanges.
+_UNTRACED = Tracer(enabled=False)
 
 
 def resolve_link(transact, *, max_depth: int = 16) -> BackscatterLink | None:
@@ -103,20 +110,36 @@ def resolve_link(transact, *, max_depth: int = 16) -> BackscatterLink | None:
     return None
 
 
+def plannable(link: BackscatterLink) -> bool:
+    """Whether the dry run may plan ``link``'s exchanges.
+
+    Caching must be on (the plan seeds the leg memo), no probes may be
+    enabled (a probed exchange computes the legs its probes want and
+    consumes no hint), and the node may carry no firmware energy
+    ledger: the dry run's ``try_power_up`` builds a ``PowerUpSimulator``
+    that re-attaches the ledger and appends an SoC sample, which
+    restoring the node does not undo.
+    """
+    return (
+        cache_enabled()
+        and not link._probes().enabled
+        and link.node.firmware.ledger is None
+    )
+
+
+class _Pause(Exception):
+    """Stops a dry run at a query decode the leg memo does not hold."""
+
+
 @dataclass
 class _NodePlan:
     """What the dry run learned about one upcoming exchange."""
 
     addr: int
     link: BackscatterLink
-    query: Query
+    reply: NodeReply
     round_offset: int                   # rounds ahead of the live round
-    chips: np.ndarray | None = None
-    bitrate: float | None = None
-    mode: int | None = None
     uplink_format: object = None
-    uplink_key: tuple | None = None
-    carrier_key: tuple | None = None
     carrier_missing: bool = False
     uplink_missing: bool = False
     # Phase B scratch:
@@ -147,10 +170,11 @@ class _NodeWindow:
 
     ``queries[k]`` is the query the node is predicted to receive in
     round ``k`` of the window, or ``None`` when the live round will skip
-    the node entirely (quarantine backoff).  ``snapshot`` is held while
-    the dry run is paused waiting for its batched downlink envelope;
-    ``env_key`` names the query decode that envelope is for, and
-    ``env`` holds the envelope until the resumed dry run decodes it.
+    the node entirely (quarantine backoff).  ``snapshot`` holds the
+    node's state while the dry run is paused waiting for its batched
+    downlink envelope; ``env_key`` names the query decode that envelope
+    is for, and ``env`` holds the envelope until the resumed dry run
+    decodes it.
     """
 
     addr: int
@@ -159,7 +183,6 @@ class _NodeWindow:
     snapshot: dict | None = None
     next_round: int = 0
     env_key: tuple | None = None
-    env_band: tuple | None = None
     env_query: Query | None = None
     env: np.ndarray | None = None
     plans: list = field(default_factory=list)
@@ -195,21 +218,6 @@ class BatchStats:
             "retries_planned": self.retries_planned,
             "groups": dict(self.groups),
         }
-
-
-def _restore_keeping_hints(link, snapshot: dict) -> None:
-    """Rewind a dry-run mutation without dropping the link's hints.
-
-    ``BackscatterLink.restore_state`` clears pending batch hints —
-    right for checkpoint restores, which replace the timeline — but
-    the dry run rewinds to the very state the hints were computed
-    against, so here they stay (unconsumed ones roll over to the next
-    window's plans).
-    """
-    hints = link._batch_hints
-    link._batch_hints = {}  # restore_state clears its dict in place
-    link.restore_state(snapshot)
-    link._batch_hints = hints
 
 
 def _grouped(items, key):
@@ -302,9 +310,7 @@ class BatchedLinkEngine:
 
         Returns the number of exchanges planned (0 on the in-window
         rounds that were already hinted).  Safe to call unconditionally:
-        only links whose own exchanges take the leg memo
-        (``BackscatterLink._memo_active``) are planned, because nothing
-        else has byte-identical results to seed.  ``remaining`` caps the
+        only :func:`plannable` links are planned.  ``remaining`` caps the
         window at the campaign rounds actually left.
 
         A replan runs inside one ``batch.prewarm`` span of the global
@@ -314,9 +320,7 @@ class BatchedLinkEngine:
         if self._hinted_rounds > 0:
             self._hinted_rounds -= 1
             return 0
-        with get_tracer().span("batch.prewarm") as span, use_tracer(
-            Tracer(enabled=False)
-        ):
+        with get_tracer().span("batch.prewarm") as span, use_tracer(_UNTRACED):
             planned = self._prewarm_window(command, remaining)
             span.set(planned=planned)
         return planned
@@ -342,12 +346,12 @@ class BatchedLinkEngine:
             finally:
                 for w in pending:
                     if w.env is not None:
-                        self._advance_window(w)
+                        self._dry_run_rounds(w)
                     if w.snapshot is not None:
                         # Envelope never materialised (or the dry run
                         # paused twice): abandon this node's remaining
                         # rounds rather than leave it frozen mid-window.
-                        _restore_keeping_hints(w.link, w.snapshot)
+                        w.link.node.restore_state(w.snapshot)
                         w.snapshot = None
         plans = [p for w in windows for p in w.plans]
         self.stats.planned += len(plans)
@@ -369,8 +373,8 @@ class BatchedLinkEngine:
         nodes get the campaign command every round.  Nodes the prepass
         cannot predict or serve — shard-quarantined, pending bitrate
         downgrades (which splice an extra SET_BITRATE exchange in front
-        of the sensing poll), links whose exchanges skip the leg memo
-        (probed or ledgered), unresolvable transports — are skipped; the
+        of the sensing poll), links that are not :func:`plannable`,
+        unresolvable transports — are skipped; the
         sequential path computes them inline exactly as before.  A
         prediction the campaign later contradicts (a node fails
         mid-window, a probe succeeds) only wastes the stale hints.
@@ -389,7 +393,7 @@ class BatchedLinkEngine:
             ):
                 continue
             link = links.get(addr)
-            if link is None or not link._memo_active():
+            if link is None or not plannable(link):
                 continue
             if health.state is HealthState.QUARANTINED:
                 queries = [
@@ -414,112 +418,85 @@ class BatchedLinkEngine:
             if not any(q is not None for q in queries):
                 continue
             w = _NodeWindow(addr=addr, link=link, queries=queries)
-            self._advance_window(w)
+            self._dry_run_rounds(w)
             if w.plans or w.snapshot is not None:
                 windows.append(w)
         return windows
 
-    def _advance_window(self, w: _NodeWindow) -> None:
-        """Dry-run ``w`` forward; restore the node unless paused.
+    def _dry_run_rounds(self, w: _NodeWindow) -> None:
+        """Dry-run ``w``'s remaining rounds; restore the node unless paused.
 
-        Pauses (keeping the snapshot held) when a round needs a downlink
-        envelope that is not memoized yet — the caller batch-computes it
-        and calls again.  Any other exit restores the held snapshot,
-        even on an unexpected error: a half-mutated node would corrupt
-        the live rounds, whereas a lost prediction only costs speed.
-        """
-        link = w.link
-        if w.snapshot is None:
-            w.snapshot = link.snapshot_state()
-        paused = False
-        try:
-            paused = self._dry_run_rounds(w)
-        finally:
-            if not paused and w.snapshot is not None:
-                _restore_keeping_hints(link, w.snapshot)
-                w.snapshot = None
-
-    def _dry_run_rounds(self, w: _NodeWindow) -> bool:
-        """Run ``w``'s remaining rounds; True when paused for an envelope.
-
-        Replicates, in order, every node-state mutation the live
-        exchange makes before its uplink — ``try_power_up``, query
-        decode, ``respond`` (which advances the sensor ADC RNGs), and
-        ``response_sent`` — so round *k*'s predicted chips come from
-        exactly the node state the live round *k* will see.
+        Each round runs the link's own pre-uplink steps
+        (``BackscatterLink._reply``), then ``response_sent``, so round
+        *k*'s predicted chips come from exactly the node state the live
+        round *k* will see (``respond`` advances the sensor ADC RNGs).
+        Its decode step reads the memo, decodes the window's batched
+        envelope, or pauses the run, keeping the node's snapshot held
+        until the caller has batch-computed the envelope and calls
+        again.  Any other exit restores the snapshot, even on an
+        unexpected error: a half-mutated node would corrupt the live
+        rounds, whereas a lost prediction only costs speed.
         """
         link = w.link
         memo = link._leg_memo
-        node = link.node
-        fs = link.sample_rate
-        while w.next_round < len(w.queries):
-            k = w.next_round
-            query = w.queries[k]
-            if query is None:
-                w.next_round += 1
-                continue
-            mode = node.firmware.config.resonance_mode
-            bitrate = node.bitrate
-            budget = memo.get_or_compute(("budget", mode, bitrate), link.budget)
-            powered = node.try_power_up(
-                budget.incident_pressure_pa, link.projector.carrier_hz
-            )
-            if not powered:
-                w.next_round += 1
-                continue
-            decode_key = ("downlink_decode", query, mode)
-            if decode_key in memo:
-                decoded = memo.get_or_compute(decode_key, lambda: None)
-            elif w.env is not None and w.env_key == decode_key:
+        if w.snapshot is None:
+            w.snapshot = link.node.snapshot_state()
+
+        def decode(query, key):
+            if key in memo:
+                return memo.get_or_compute(key, lambda: None)
+            if w.env is not None and w.env_key == key:
                 # Resumed with the batched envelope: decode it, as the
                 # live exchange would, and seed the memo with the result.
-                decoded = node.receive_query(w.env, fs)
-                memo.put(decode_key, decoded)
+                decoded = link.node.receive_query(w.env, link.sample_rate)
+                memo.put(key, decoded)
                 w.env = None
-            elif w.env_key is not None:
-                # Second distinct envelope in one window — the single
-                # envelope batch has already run.  Abandon the remaining
-                # rounds (they run inline).
-                return False
-            else:
-                lo, hi = link._node_band()
-                w.env_key = decode_key
-                w.env_band = (max(lo, 1.0), min(hi, fs / 2.0 - 1.0))
-                w.env_query = query
-                return True
-            if decoded is None:
+                return decoded
+            # Wait for the window's envelope batch.  A second pause comes
+            # after the batch has run: the caller then restores the node,
+            # and the remaining rounds run inline.
+            w.env_key, w.env_query = key, query
+            raise _Pause
+
+        paused = False
+        try:
+            while w.next_round < len(w.queries):
+                query = w.queries[w.next_round]
+                if query is not None:
+                    try:
+                        reply = link._reply(
+                            query, decode, _UNTRACED, link._probes()
+                        )
+                    except _Pause:
+                        paused = True
+                        return
+                    if reply.response is not None:
+                        link.node.firmware.response_sent()
+                        w.plans.append(self._plan(w, reply))
                 w.next_round += 1
-                continue
-            response = node.respond(decoded)
-            if response is None:
-                w.next_round += 1
-                continue
-            chips = node.uplink_chips(response)
-            node.firmware.response_sent()
-            bitrate = node.bitrate
-            mode = node.firmware.config.resonance_mode
-            plan = _NodePlan(
-                addr=w.addr, link=link, query=query, round_offset=k,
-                chips=chips, bitrate=bitrate, mode=mode,
-                uplink_format=node.firmware.config.uplink_format,
-            )
-            plan.uplink_key = (
-                "uplink", query, chips.tobytes(), bitrate, mode
-            )
-            plan.carrier_key = ("carrier", query, len(chips), bitrate, mode)
-            plan.uplink_missing = plan.uplink_key not in memo and not any(
-                p.uplink_key == plan.uplink_key for p in w.plans
-            )
-            plan.carrier_missing = (
-                plan.uplink_missing
-                and plan.carrier_key not in memo
+        finally:
+            if not paused:
+                link.node.restore_state(w.snapshot)
+                w.snapshot = None
+
+    def _plan(self, w: _NodeWindow, reply: NodeReply) -> _NodePlan:
+        """Plan round ``w.next_round``'s uplink; flag the legs to batch."""
+        memo = w.link._leg_memo
+        uplink_missing = reply.uplink_key not in memo and not any(
+            p.reply.uplink_key == reply.uplink_key for p in w.plans
+        )
+        return _NodePlan(
+            addr=w.addr, link=w.link, reply=reply, round_offset=w.next_round,
+            uplink_format=w.link.node.firmware.config.uplink_format,
+            uplink_missing=uplink_missing,
+            carrier_missing=(
+                uplink_missing
+                and reply.carrier_key not in memo
                 and not any(
-                    p.carrier_key == plan.carrier_key for p in w.plans
+                    p.reply.carrier_key == reply.carrier_key for p in w.plans
                 )
-            )
-            w.plans.append(plan)
-            w.next_round += 1
-        return False
+            ),
+        )
 
     # -- phase B: batched legs ------------------------------------------------------
 
@@ -539,10 +516,12 @@ class BatchedLinkEngine:
             qw = link.projector.query_waveform(w.env_query, link.sample_rate)
             ir = link.ch_projector_node._impulse
             rows.append((w, qw, ir))
+        # Each paused node still holds the state its decode waits in, so
+        # its receive band is the one the live decode will filter with.
         groups = _grouped(
             rows,
             lambda r: (
-                len(r[1]), len(r[2]), r[0].env_band,
+                len(r[1]), len(r[2]), r[0].link._node_band(),
                 r[0].link.projector.carrier_hz, r[0].link.sample_rate,
             ),
         )
@@ -575,12 +554,11 @@ class BatchedLinkEngine:
             return
         rows = []
         for plan in plans:
-            link = plan.link
-            fs = link.sample_rate
-            chip_rate = 2.0 * plan.bitrate
-            uplink_s = len(plan.chips) / chip_rate + link.UPLINK_MARGIN_S
+            link, reply = plan.link, plan.reply
+            chip_rate = 2.0 * reply.bitrate
+            uplink_s = len(reply.chips) / chip_rate + link.UPLINK_MARGIN_S
             tx, uplink_start = link.projector.query_then_carrier(
-                plan.query, uplink_s, fs
+                reply.query, uplink_s, link.sample_rate
             )
             rows.append((plan, tx, uplink_start))
         groups = _grouped(
@@ -616,12 +594,13 @@ class BatchedLinkEngine:
             for (plan, _tx, uplink_start), incident, direct in zip(
                 group, incidents, directs
             ):
-                link = plan.link
-                link._leg_memo.put(
-                    plan.carrier_key,
-                    link._slim_carrier(
+                reply = plan.reply
+                plan.link._leg_memo.put(
+                    reply.carrier_key,
+                    plan.link._slim_carrier(
                         hilbert(np.asarray(incident, dtype=float)), direct,
-                        uplink_start, len(plan.chips), plan.bitrate, plan.mode,
+                        uplink_start, len(reply.chips), reply.bitrate,
+                        reply.mode,
                     ),
                 )
                 self.stats.carriers_batched += 1
@@ -640,12 +619,12 @@ class BatchedLinkEngine:
         """
         tails, seen_inline = [], []
         for plan in plans:
-            link = plan.link
+            link, reply = plan.link, plan.reply
             memo = link._leg_memo
             plan.leg = memo.get_or_compute(
-                plan.carrier_key,
-                lambda plan=plan: plan.link._carrier_leg(
-                    plan.query, len(plan.chips), plan.bitrate, plan.mode
+                reply.carrier_key,
+                lambda reply=reply: link._carrier_leg(
+                    reply.query, len(reply.chips), reply.bitrate, reply.mode
                 ),
             )
             if not plan.uplink_missing:
@@ -654,9 +633,9 @@ class BatchedLinkEngine:
                 seen_inline.append(plan)
             elif link.node_velocity_mps:
                 plan.uplink = memo.get_or_compute(
-                    plan.uplink_key,
+                    reply.uplink_key,
                     lambda plan=plan: plan.link._uplink_leg(
-                        plan.leg, plan.chips, plan.bitrate
+                        plan.leg, plan.reply.chips, plan.reply.bitrate
                     ),
                 )
                 self.stats.tails_inline += 1
@@ -677,7 +656,7 @@ class BatchedLinkEngine:
                     [
                         p.link._reflected(
                             p.leg.idle, p.leg.window, p.leg.reply_start,
-                            p.chips, p.bitrate,
+                            p.reply.chips, p.reply.bitrate,
                         )
                         for p in group
                     ]
@@ -693,13 +672,13 @@ class BatchedLinkEngine:
                 uplinks = fftconvolve(filtered, ir_nh, axes=-1)
                 for plan, uplink in zip(group, uplinks):
                     plan.uplink = plan.link._quiet_tail(plan.leg, uplink)
-                    plan.link._leg_memo.put(plan.uplink_key, plan.uplink)
+                    plan.link._leg_memo.put(plan.reply.uplink_key, plan.uplink)
                     self.stats.tails_batched += 1
         for plan in seen_inline:
             plan.uplink = plan.link._leg_memo.get_or_compute(
-                plan.uplink_key,
+                plan.reply.uplink_key,
                 lambda plan=plan: plan.link._uplink_leg(
-                    plan.leg, plan.chips, plan.bitrate
+                    plan.leg, plan.reply.chips, plan.reply.bitrate
                 ),
             )
 
@@ -742,9 +721,10 @@ class BatchedLinkEngine:
                         break
                     token = link._noise_token()
                     planned += 1
-                    hint = carried.get((plan.uplink_key, token))
+                    hint_key = (plan.reply.uplink_key, token)
+                    hint = carried.get(hint_key)
                     if hint is not None:
-                        link._batch_hints[(plan.uplink_key, token)] = hint
+                        link._batch_hints[hint_key] = hint
                         link.noise.restore_state(hint[0])
                         self.stats.demods_carried += 1
                         continue
@@ -752,7 +732,7 @@ class BatchedLinkEngine:
                     after = link.noise.snapshot_state()
                     dem = link.hydrophone.demodulator(
                         link.projector.carrier_hz,
-                        plan.bitrate,
+                        plan.reply.bitrate,
                         packet_format=plan.uplink_format,
                         detection_threshold=link.DETECTION_THRESHOLD,
                     )
@@ -848,7 +828,7 @@ class BatchedLinkEngine:
                 )
                 row.demod = demod
                 row.plan.link._batch_hints[
-                    (row.plan.uplink_key, row.token)
+                    (row.plan.reply.uplink_key, row.token)
                 ] = (row.after, demod)
                 self.stats.demods_precomputed += 1
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.acoustics import POOL_A, Position
@@ -80,3 +81,42 @@ class TestDirectionalExchange:
         aimed = make_link(0.0, pattern).budget()
         averted = make_link(math.pi / 2, pattern).budget()
         assert aimed.incident_pressure_pa > 2.0 * averted.incident_pressure_pa
+
+
+class TestOracleSnr:
+    def test_segment_is_the_exchange_recording(self, monkeypatch):
+        """``measure_uplink_snr`` (Fig. 8) analyses the very segment the
+        exchange records for the same query and noise seed, so the
+        direct carrier carries the projector's beam gain towards the
+        hydrophone."""
+        from repro.acoustics.noise import AmbientNoiseModel
+        from repro.core import Hydrophone
+        from repro.dsp import BackscatterDemodulator
+
+        pattern = DirectivityPattern(kind="piston", characteristic_m=0.12)
+        oracle, exchange = make_link(0.0, pattern), make_link(0.0, pattern)
+        for link in (oracle, exchange):
+            link.noise = AmbientNoiseModel(
+                spectrum="flat", flat_level_db=60.0, seed=4
+            )
+        assert oracle.beam_gain_hydrophone < 0.1
+        segments = []
+
+        def spy(original):
+            def wrapper(self, waveform, *args, **kwargs):
+                segments.append(np.array(waveform))
+                return original(self, waveform, *args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(
+                BackscatterDemodulator, "to_baseband",
+                spy(BackscatterDemodulator.to_baseband),
+            )
+            oracle.measure_uplink_snr(PING)
+        with monkeypatch.context() as m:
+            m.setattr(Hydrophone, "demodulate", spy(Hydrophone.demodulate))
+            assert exchange.run_query(PING).success
+        analysed, recorded = segments
+        assert analysed.tobytes() == recorded.tobytes()

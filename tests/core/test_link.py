@@ -188,7 +188,8 @@ def reference_uplink(link, query, chips, bitrate, mode, *, reply_shift=0):
     (``gamma_t * analytic``), then re-radiation, the uplink channel and
     the mixture with the direct carrier, all at full length; the result
     is sliced at the analysis start.  Returns ``(tail, total,
-    analysis_start, incident length, reply_start)``.
+    analysis_start, incident length, reply_start, mixture)``, with
+    ``mixture`` the whole quiet mixture.
     """
     from scipy.signal import hilbert
 
@@ -236,7 +237,7 @@ def reference_uplink(link, query, chips, bitrate, mode, *, reply_shift=0):
     mixture[: len(uplink)] += uplink
     delay_ph = int(round(link.ch_projector_hydrophone.direct_path.delay_s * fs))
     start = uplink_start + delay_ph + int(0.3 * link.UPLINK_MARGIN_S * fs)
-    return mixture[start:], len(mixture), start, n, reply_start
+    return mixture[start:], len(mixture), start, n, reply_start, mixture
 
 
 def _assert_leg_matches(leg, reference):
@@ -362,3 +363,29 @@ class TestSlimLegs:
                 for part in value:
                     if isinstance(part, np.ndarray) and np.iscomplexobj(part):
                         assert len(part) <= reply_len
+
+
+class TestRecordTail:
+    """The recorded tail is the analysed part of a whole-mixture recording."""
+
+    @pytest.mark.parametrize("velocity", [0.0, 0.4])
+    def test_matches_whole_recording_and_noise_stream(self, velocity):
+        from repro.acoustics.noise import AmbientNoiseModel
+
+        link = make_link(bitrate=2_000.0, velocity=velocity)
+        link.node.force_power(True)
+        query = Query(destination=7, command=Command.READ_PH)
+        chips = link.node.uplink_chips(link.node.respond(query))
+        bitrate = link.node.bitrate
+        carrier = link._carrier_leg(query, len(chips), bitrate, 0)
+        leg = link._uplink_leg(carrier, chips, bitrate)
+        ref = reference_uplink(link, query, chips, bitrate, 0)
+        start, mixture = ref[2], ref[5]
+        link.noise = AmbientNoiseModel(spectrum="flat", flat_level_db=60.0, seed=11)
+        twin = AmbientNoiseModel(spectrum="flat", flat_level_db=60.0, seed=11)
+        recorded = link._record_tail(leg)
+        whole = link.hydrophone.record(
+            mixture + twin.generate(len(mixture), link.sample_rate)
+        )
+        assert recorded.tobytes() == whole[start:].tobytes()
+        assert link.noise.snapshot_state() == twin.snapshot_state()
