@@ -780,7 +780,11 @@ def _run_resume(args, bus) -> int:
             },
         )
         bus.flush()
-    report = reader.run_campaign(command, rounds=rounds, resume_from=doc)
+    try:
+        report = reader.run_campaign(command, rounds=rounds, resume_from=doc)
+    except ValueError as exc:
+        _emit(f"FAIL: {exc}")
+        return 1
     digest = campaign_digest(report, log, metrics)
     _emit(f"campaign digest: {digest}")
     if args.digest_out:

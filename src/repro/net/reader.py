@@ -34,13 +34,15 @@ Campaigns are additionally crash-safe (:mod:`repro.resilience`):
   that outlives its wall-clock deadline is abandoned and booked as a
   ``watchdog_timeout`` fault instead of hanging the round;
 * :meth:`ReaderController.snapshot` / :meth:`ReaderController.restore`
-  serialise the complete campaign state, and
-  :meth:`ReaderController.run_campaign` can write periodic checkpoints
-  and resume from one with byte-identical reports and digests.
+  serialise the campaign state, :meth:`ReaderController.history_rows`
+  its append-only history, and :meth:`ReaderController.run_campaign`
+  can write periodic checkpoints and resume from one with
+  byte-identical reports and digests.
 """
 
 from __future__ import annotations
 
+import pathlib
 from dataclasses import dataclass, field
 
 from repro.faults.events import Event, EventLog
@@ -50,9 +52,10 @@ from repro.obs.metrics import Counter, Gauge
 from repro.obs.postmortem import DecodePostmortem
 from repro.obs.analytics import publish_anomalies
 from repro.obs.profiler import get_profiler
-from repro.obs.stream import get_bus
+from repro.obs.stream import get_bus, make_event
 from repro.obs.trace import get_tracer
 from repro.resilience.checkpoint import (
+    HistoryFile,
     checkpoint_path,
     read_checkpoint,
     recorder_path,
@@ -233,6 +236,12 @@ class ReaderController:
         #: absent.
         self.analytics = analytics
         self._checkpoint_dir = None
+        #: The history file checkpoints point into, the pointer to the
+        #: history it holds (or a restored checkpoint's), and the
+        #: :meth:`_history_position` that history ends at.
+        self._history_file = None
+        self._history_pointer = None
+        self._history_mark = None
         #: Path of the last flight-recorder dump (set on CampaignAbort
         #: or a watchdog kill when the bus carries a recorder sink).
         self.last_recorder_dump = None
@@ -535,9 +544,7 @@ class ReaderController:
         """
         rnd = int(t)
         for addr in sorted(self.ledgers):
-            harness = self.ledgers[addr]
-            ledger = getattr(harness, "ledger", harness)
-            history = getattr(ledger, "round_history", None)
+            history = getattr(_ledger(self.ledgers[addr]), "round_history", None)
             if history and int(history[-1]["t"]) == rnd:
                 self.bus.publish(
                     "soc", t=t, node=addr, source="ledger",
@@ -645,13 +652,15 @@ class ReaderController:
         and re-probed, and the return value is the full
         :meth:`report` including availability and MTTR per node.
 
-        With ``checkpoint_every=K`` (and a ``checkpoint_dir``) the full
-        campaign state is written to ``checkpoint-NNNNNN.json`` after
-        every K-th round (``campaign`` metadata rides along in the
-        file).  ``resume_from`` restores a checkpoint file (or an
-        already-read checkpoint document) before running the remaining
-        rounds; a resumed campaign's report, event log, and digest are
-        byte-identical to an uninterrupted run.
+        With ``checkpoint_every=K`` (and a ``checkpoint_dir``) a
+        checkpoint is written after every K-th round
+        (:meth:`save_checkpoint`; ``campaign`` metadata rides along in
+        the file).  ``resume_from`` restores a checkpoint file (or a
+        document :func:`~repro.resilience.checkpoint.read_checkpoint`
+        returned) before running the remaining rounds; a resumed
+        campaign's report, event log, and digest are byte-identical to
+        an uninterrupted run.  A checkpoint past ``rounds`` raises
+        ``ValueError``.
         """
         if rounds < 1:
             raise ValueError("need at least one round")
@@ -667,7 +676,12 @@ class ReaderController:
                 if isinstance(resume_from, dict)
                 else read_checkpoint(resume_from)
             )
-            self.restore(doc["state"])
+            if int(doc["state"]["round"]) > rounds:
+                raise ValueError(
+                    f"checkpoint is at round {doc['state']['round']}, past "
+                    f"the campaign's {rounds} rounds"
+                )
+            self.restore(doc["state"], doc.get("history", ()))
         self._campaign_rounds = rounds
         try:
             while self._round < rounds:
@@ -692,10 +706,33 @@ class ReaderController:
     # -- checkpointing -----------------------------------------------------------------
 
     def save_checkpoint(self, directory, *, campaign: dict | None = None):
-        """Write the current :meth:`snapshot` to ``directory``; returns
-        the checkpoint file's path (``checkpoint-NNNNNN.json``)."""
+        """Checkpoint to ``directory``; returns the checkpoint file's path.
+
+        First the :meth:`history_rows` produced since the previous save
+        are appended to ``history.jsonl`` there
+        (:class:`~repro.resilience.checkpoint.HistoryFile`), then
+        ``checkpoint-NNNNNN.json`` is written: :meth:`snapshot` plus a
+        ``history`` pointer to the file's prefix as of this save.  The
+        first save after a :meth:`restore` truncates the file to the
+        restored checkpoint's prefix (or, in another directory, writes
+        the whole history to a new file).
+        """
+        directory = pathlib.Path(directory)
+        history = self._history_file
+        if history is None or history.directory != directory:
+            history = HistoryFile(directory, self._history_pointer)
+            if history.pointer() != self._history_pointer:
+                self._history_mark = None   # a new file: write it all
+            self._history_file = history
+        mark = self._history_position()
+        self._history_pointer = history.append(
+            self._history_rows(self._history_mark, seq=history.lines)
+        )
+        self._history_mark = mark
+        state = self.snapshot()
+        state["history"] = self._history_pointer
         path = checkpoint_path(directory, self._round)
-        write_checkpoint(path, self.snapshot(), round=self._round, campaign=campaign)
+        write_checkpoint(path, state, round=self._round, campaign=campaign)
         if self.bus.enabled:
             self.bus.publish(
                 "checkpoint", t=float(self._round), source="reader",
@@ -705,7 +742,12 @@ class ReaderController:
         return path
 
     def snapshot(self) -> dict:
-        """The complete campaign state as a JSON-ready dict.
+        """The campaign state as a JSON-ready dict.
+
+        State is what the next round reads.  The campaign's history
+        (event log, round log, readings, ledger round records and SoC
+        series) only grows and is not part of it: see
+        :meth:`history_rows`.
 
         Mapping keys are stringified so the canonical (sorted-keys)
         JSON rendering is stable across a write/read cycle — Python
@@ -728,16 +770,6 @@ class ReaderController:
                 },
                 "quarantined": sorted(self._quarantined_shards),
             },
-            "events": [e.to_dict() for e in self.log.events],
-            "round_log": [
-                {
-                    **rec,
-                    "outcomes": {
-                        str(a): info for a, info in rec["outcomes"].items()
-                    },
-                }
-                for rec in self.round_log
-            ],
         }
         for addr in sorted(self._macs):
             key = str(addr)
@@ -746,7 +778,6 @@ class ReaderController:
                 "bitrate": record.bitrate,
                 "resonance_mode": record.resonance_mode,
                 "pending_downgrade": record.pending_downgrade,
-                "readings": [[r.kind, list(r.values)] for r in record.readings],
             }
             state["macs"][key] = self._macs[addr].snapshot_state()
             state["health"][key] = record.health.snapshot_state()
@@ -764,10 +795,71 @@ class ReaderController:
             state["analytics"] = self.analytics.snapshot_state()
         return state
 
-    def restore(self, state: dict) -> None:
+    def history_rows(self) -> list:
+        """The campaign's whole history as schema-1 stream envelopes.
+
+        The rows a checkpoint's history file holds, numbered from 0:
+        ``event`` (the event log), ``round`` (the round log, addresses
+        stringified), ``readings`` (per node), and per ledger ``soc``
+        (round records) and ``soc_samples`` (the SoC series).
+        :meth:`restore` rebuilds the history from them.
+        """
+        return self._history_rows(None, seq=0)
+
+    def _history_position(self) -> dict:
+        """Where the history ends now (see :meth:`_history_rows`)."""
+        return {
+            "events": len(self.log.events),
+            "rounds": len(self.round_log),
+            "readings": {a: len(r.readings) for a, r in self.nodes.items()},
+            "ledgers": {
+                a: _ledger(h).history_mark() for a, h in self.ledgers.items()
+            },
+        }
+
+    def _history_rows(self, since, *, seq: int) -> list:
+        """History envelopes added after position ``since`` (``None``:
+        the start), numbered from ``seq``."""
+        since = since or {"events": 0, "rounds": 0, "readings": {}, "ledgers": {}}
+        t = float(self._round)
+        rows = []
+
+        def add(kind, when, node, source, data):
+            rows.append(make_event(
+                seq + len(rows), kind, t=when, node=node, source=source,
+                data=data,
+            ))
+
+        for event in self.log.events[since["events"]:]:
+            add("event", event.t, event.node, "log", event.to_dict())
+        for rec in self.round_log[since["rounds"]:]:
+            add("round", rec["t"], -1, "reader", {
+                **rec,
+                "outcomes": {str(a): info for a, info in rec["outcomes"].items()},
+            })
+        for addr in sorted(self.nodes):
+            new = self.nodes[addr].readings[since["readings"].get(addr, 0):]
+            if new:
+                add("readings", t, addr, "reader", {
+                    "readings": [[r.kind, list(r.values)] for r in new],
+                })
+        for addr in sorted(self.ledgers):
+            rounds, soc_samples = _ledger(self.ledgers[addr]).history_since(
+                since["ledgers"].get(addr)
+            )
+            for info in rounds:
+                add("soc", info["t"], addr, "ledger", dict(info))
+            if soc_samples is not None:
+                add("soc_samples", t, addr, "ledger", soc_samples)
+        return rows
+
+    def restore(self, state: dict, history=()) -> None:
         """Inverse of :meth:`snapshot`: rebuild the campaign mid-flight.
 
-        The reader must have been constructed with the same fleet
+        ``history`` is the campaign's :meth:`history_rows` up to the
+        snapshot (a checkpoint's verified history prefix); the event
+        log, round log, readings and ledger histories are rebuilt from
+        it.  The reader must have been constructed with the same fleet
         (addresses, transports, policies) as the one that snapshotted;
         only mutable state is restored.
         """
@@ -789,10 +881,6 @@ class ReaderController:
             record.bitrate = node_state["bitrate"]
             record.resonance_mode = node_state["resonance_mode"]
             record.pending_downgrade = bool(node_state["pending_downgrade"])
-            record.readings = [
-                SensorReading(kind, tuple(values))
-                for kind, values in node_state["readings"]
-            ]
             mac = self._macs[addr]
             mac.restore_state(state["macs"][key])
             record.stats = mac.stats
@@ -802,19 +890,6 @@ class ReaderController:
         self._shard_crashes = {int(a): int(n) for a, n in shards["crashes"].items()}
         self._crash_streak = {int(a): int(n) for a, n in shards["streak"].items()}
         self._quarantined_shards = {int(a) for a in shards["quarantined"]}
-        # Assign events directly: record() would renumber and double-
-        # count pab_events_total (the counters arrive via the metrics
-        # snapshot below).
-        self.log.events = [Event.from_dict(d) for d in state["events"]]
-        self.round_log = [
-            {
-                **rec,
-                "outcomes": {
-                    int(a): info for a, info in rec["outcomes"].items()
-                },
-            }
-            for rec in state["round_log"]
-        ]
         if self.metrics is not None and "metrics" in state:
             self.metrics.restore_state(state["metrics"])
         for addr, harness in self.ledgers.items():
@@ -823,6 +898,45 @@ class ReaderController:
             self.slo.restore_state(state["slo"])
         if self.analytics is not None and "analytics" in state:
             self.analytics.restore_state(state["analytics"])
+        self._replay_history(history)
+        self._history_file = None
+        self._history_pointer = state.get("history")
+        self._history_mark = self._history_position()
+
+    def _replay_history(self, rows) -> None:
+        """Rebuild the history lists from :meth:`history_rows` envelopes
+        (ledger histories start empty after their state restore)."""
+        events, round_log = [], []
+        for record in self.nodes.values():
+            record.readings = []
+        ledgers = {a: _ledger(h) for a, h in self.ledgers.items()}
+        for row in rows:
+            kind, node, data = row["kind"], row["node"], row["data"]
+            if kind == "event":
+                events.append(Event.from_dict(data))
+            elif kind == "round":
+                round_log.append({
+                    **data,
+                    "outcomes": {
+                        int(a): info for a, info in data["outcomes"].items()
+                    },
+                })
+            elif kind == "readings":
+                self.nodes[node].readings.extend(
+                    SensorReading(k, tuple(values))
+                    for k, values in data["readings"]
+                )
+            elif kind == "soc":
+                ledgers[node].round_history.append(dict(data))
+            elif kind == "soc_samples":
+                ledgers[node].replay_soc_samples(data)
+            else:
+                raise ValueError(f"unknown history row kind {kind!r}")
+        # Assign events directly: record() would renumber and double-
+        # count pab_events_total (the counters arrive via the metrics
+        # snapshot).
+        self.log.events = events
+        self.round_log = round_log
 
     # -- crash containment -------------------------------------------------------------
 
@@ -1061,3 +1175,9 @@ class ReaderController:
         if address not in self.nodes:
             raise KeyError(f"unknown node address {address}")
         return self.nodes[address]
+
+
+def _ledger(harness):
+    """The :class:`~repro.obs.ledger.EnergyLedger` of a ``ledgers`` entry
+    (a :class:`~repro.obs.ledger.NodeEnergyHarness` or a bare ledger)."""
+    return getattr(harness, "ledger", harness)

@@ -28,11 +28,21 @@ Two feeding modes:
 Disabled is free: nothing here runs unless a ledger is constructed and
 attached — the hot-path cost of *not* using one is a single ``is None``
 check at each hook site (capacitor step, firmware transition).
+
+Checkpoints split a ledger in two.  :meth:`EnergyLedger.snapshot_state`
+is the *state* the next step reads (books, capacitor, SoC stride and
+phase).  The SoC series and ``round_history`` are *history*: they only
+grow, so a checkpoint appends what is new since the previous save
+(:meth:`EnergyLedger.history_since`) to the campaign's history file
+and a restore replays it (:meth:`EnergyLedger.replay_soc_samples`).
 """
 
 from __future__ import annotations
 
+import base64
 import math
+
+import numpy as np
 
 from repro.constants import POWER_UP_THRESHOLD_V
 from repro.node.power import NodePowerModel, PowerState
@@ -46,6 +56,17 @@ DIRECTIONS = ("harvested", "consumed", "leaked", "clamped")
 #: bucket is created on the first nonzero flow, as with per-step dict
 #: booking.
 _UNBOOKED = -0.0
+
+
+def _pack_floats(values: list) -> str:
+    """Base64 of little-endian float64s: exact, NaN and ``-0.0`` included,
+    and far cheaper to write and parse than JSON float reprs."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def _unpack_floats(text: str) -> list:
+    """Inverse of :func:`_pack_floats`."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").tolist()
 
 
 class EnergyLedger:
@@ -340,11 +361,48 @@ class EnergyLedger:
 
     # -- checkpointing ----------------------------------------------------------------
 
+    def history_mark(self) -> tuple:
+        """``(round records, SoC samples, SoC stride)``: where a later
+        :meth:`history_since` picks up."""
+        return len(self.round_history), len(self.soc_v), self._soc_stride
+
+    def history_since(self, mark: tuple | None = None) -> tuple:
+        """The history added after ``mark`` (``None``: all of it).
+
+        Returns ``(round_records, soc_samples)``.  ``soc_samples`` is
+        ``None`` when the SoC series is unchanged, else a dict: ``keep``,
+        the factor the series was decimated by since ``mark``, and
+        ``soc_t``/``soc_v``, the samples after the decimated old ones,
+        packed as base64 little-endian float64.  Each decimation keeps
+        every other sample, so the ``n`` samples at ``mark`` are now
+        the first ``ceil(n / keep)``, and replaying is
+        ``L = L[::keep] + tail`` (:meth:`replay_soc_samples`).
+        """
+        rounds, samples, stride = mark if mark is not None else (0, 0, 1)
+        keep = self._soc_stride // stride
+        start = -(-samples // keep)
+        soc_samples = None
+        if keep > 1 or start < len(self.soc_v):
+            soc_samples = {
+                "keep": keep,
+                "soc_t": _pack_floats(self.soc_t[start:]),
+                "soc_v": _pack_floats(self.soc_v[start:]),
+            }
+        return self.round_history[rounds:], soc_samples
+
+    def replay_soc_samples(self, soc_samples: dict) -> None:
+        """Apply one :meth:`history_since` SoC payload to the series."""
+        keep = int(soc_samples["keep"])
+        self.soc_t = self.soc_t[::keep] + _unpack_floats(soc_samples["soc_t"])
+        self.soc_v = self.soc_v[::keep] + _unpack_floats(soc_samples["soc_v"])
+
     def snapshot_state(self) -> dict:
         """JSON-ready mutable state, including the attached capacitor.
 
-        ``inf``/``nan`` sentinels survive because Python's ``json``
-        writes and reads the ``Infinity``/``NaN`` extension tokens.
+        History (the SoC series and ``round_history``) is not state: see
+        :meth:`history_since`.  ``inf``/``nan`` sentinels survive because
+        Python's ``json`` writes and reads the ``Infinity``/``NaN``
+        extension tokens.
         """
         return {
             "t": self.t,
@@ -358,15 +416,12 @@ class EnergyLedger:
             ],
             "baseline_energy_j": self._baseline_energy_j,
             "baseline_adjusted_j": self._baseline_adjusted_j,
-            "soc_t": list(self.soc_t),
-            "soc_v": list(self.soc_v),
             "soc_stride": self._soc_stride,
             "soc_phase": self._soc_phase,
             "min_voltage_v": self.min_voltage_v,
             "min_powered_voltage_v": self.min_powered_voltage_v,
             "brownouts": self.brownouts,
             "last_voltage_v": self.last_voltage_v,
-            "round_history": [dict(info) for info in self.round_history],
             "pushed": [
                 [name, [list(pair) for pair in labels], value]
                 for (name, labels), value in sorted(self._pushed.items())
@@ -380,7 +435,9 @@ class EnergyLedger:
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`snapshot_state`.
 
-        The capacitor section restores into the *already attached*
+        The history starts empty: replay it afterwards (``round_history``
+        records, then :meth:`replay_soc_samples` in saved order).  The
+        capacitor section restores into the *already attached*
         capacitor (attachment wires the observer callback, which JSON
         cannot carry).
         """
@@ -396,15 +453,15 @@ class EnergyLedger:
         self._load_books()
         self._baseline_energy_j = state["baseline_energy_j"]
         self._baseline_adjusted_j = state["baseline_adjusted_j"]
-        self.soc_t = list(state["soc_t"])
-        self.soc_v = list(state["soc_v"])
+        self.soc_t = []
+        self.soc_v = []
         self._soc_stride = int(state["soc_stride"])
         self._soc_phase = int(state["soc_phase"])
         self.min_voltage_v = state["min_voltage_v"]
         self.min_powered_voltage_v = state["min_powered_voltage_v"]
         self.brownouts = int(state["brownouts"])
         self.last_voltage_v = state["last_voltage_v"]
-        self.round_history = [dict(info) for info in state["round_history"]]
+        self.round_history = []
         self._pushed = {
             (name, tuple(tuple(pair) for pair in labels)): value
             for name, labels, value in state["pushed"]

@@ -66,7 +66,18 @@ kind               source     data payload
 ``anomaly``        analytics  one online-detector hit (series, node, stage,
                               detector, severity, score) from
                               :class:`repro.obs.analytics.AnomalyMonitor`
+``readings``       reader     history only: a node's sensor readings decoded
+                              since the previous checkpoint
+``soc_samples``    ledger     history only: a ledger's SoC series since the
+                              previous checkpoint (decimation factor ``keep``
+                              plus the new ``soc_t``/``soc_v`` tail, packed)
 =================  =========  ==================================================
+
+The two history-only kinds appear in the append-only ``history.jsonl``
+that campaign checkpoints point into
+(:mod:`repro.resilience.checkpoint`), never on the bus; that file also
+carries ``event``, ``round`` (without the ``mac`` samples) and ``soc``
+rows, so :class:`StreamAggregator` reduces it like any stream.
 
 Determinism: the reader publishes only from the shared event log and
 the per-round observer, in sorted-address order, so sequential and
@@ -93,8 +104,23 @@ SCHEMA_VERSION = 1
 #: consumers must ignore kinds they don't understand).
 EVENT_KINDS = (
     "stream_start", "event", "span", "metrics", "soc", "slo", "round",
-    "postmortem", "checkpoint", "profile", "anomaly",
+    "postmortem", "checkpoint", "profile", "anomaly", "readings",
+    "soc_samples",
 )
+
+
+def make_event(seq: int, kind: str, *, t: float = 0.0, node: int = -1,
+               source: str = "", data: dict | None = None) -> dict:
+    """One schema-:data:`SCHEMA_VERSION` envelope (a stream line's dict)."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "seq": seq,
+        "t": float(t),
+        "node": int(node),
+        "kind": str(kind),
+        "source": str(source),
+        "data": data if data is not None else {},
+    }
 
 
 def event_to_line(event: dict) -> str:
@@ -161,15 +187,9 @@ class TelemetryBus:
         """Stamp and dispatch one event; returns it (None when disabled)."""
         if not self.enabled:
             return None
-        event = {
-            "schema": SCHEMA_VERSION,
-            "seq": self.seq,
-            "t": float(t),
-            "node": int(node),
-            "kind": str(kind),
-            "source": str(source),
-            "data": data if data is not None else {},
-        }
+        event = make_event(
+            self.seq, kind, t=t, node=node, source=source, data=data
+        )
         self.seq += 1
         for sink in self.sinks:
             sink.emit(event)
@@ -530,6 +550,10 @@ class StreamAggregator:
             self.checkpoints.append(data)
         elif kind == "span":
             self.spans.append(data)
+        elif kind in ("readings", "soc_samples"):
+            # History-only rows: a checkpoint restore replays them; no
+            # timeline or SLO view is built from them.
+            pass
         elif kind == "profile":
             # Round-keyed, last-write-wins: idempotent across a
             # crash/resume overlap like every other reduction here.

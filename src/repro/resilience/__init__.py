@@ -5,9 +5,10 @@ deployments; this package makes those campaigns survive the reader
 side's own failures, not just the nodes':
 
 * :mod:`repro.resilience.checkpoint` — versioned, integrity-checked
-  snapshot files every K rounds; ``ReaderController.run_campaign(
-  resume_from=...)`` continues a campaign byte-identically (proved by
-  the ``repro bench`` digest machinery).
+  state files every K rounds, each pointing into one append-only
+  history file; ``ReaderController.run_campaign(resume_from=...)``
+  continues a campaign byte-identically (proved by the ``repro bench``
+  digest machinery).
 * :mod:`repro.resilience.watchdog` — per-transaction and per-round
   wall-clock budgets enforced around the reader's polls; stragglers
   are abandoned, booked as ``watchdog_timeout`` faults, and fed to the
@@ -27,7 +28,9 @@ kill-and-resume example.
 from repro.resilience.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_SCHEMA,
+    HISTORY_NAME,
     CheckpointError,
+    HistoryFile,
     campaign_digest,
     checkpoint_path,
     latest_checkpoint,
@@ -52,6 +55,8 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CampaignAbort",
     "CheckpointError",
+    "HISTORY_NAME",
+    "HistoryFile",
     "SupervisionOutcome",
     "SupervisorPolicy",
     "WatchdogPolicy",

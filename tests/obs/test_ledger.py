@@ -371,8 +371,7 @@ class DictBookedReference:
             PowerState(s): v for s, v in snap["state_seconds"].items()
         }
         self.flows = {(d, PowerState(s)): j for d, s, j in snap["flows"]}
-        self.soc_t = list(snap["soc_t"])
-        self.soc_v = list(snap["soc_v"])
+        self.soc_t, self.soc_v = ledger.soc_series()
         self.soc_stride = snap["soc_stride"]
         self.soc_phase = snap["soc_phase"]
         self.min_voltage_v = snap["min_voltage_v"]
@@ -428,7 +427,8 @@ class DictBookedReference:
         }
 
     def expected_snapshot(self):
-        """The ledger's snapshot with every booked field from these books."""
+        """The ledger's snapshot with every booked field from these books
+        (the SoC series is history, compared via ``soc_series``)."""
         snap = self.ledger.snapshot_state()
         snap.update(
             t=self.t,
@@ -439,7 +439,6 @@ class DictBookedReference:
                     self.flows.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
                 )
             ],
-            soc_t=self.soc_t, soc_v=self.soc_v,
             soc_stride=self.soc_stride, soc_phase=self.soc_phase,
             min_voltage_v=self.min_voltage_v,
             min_powered_voltage_v=self.min_powered_voltage_v,
@@ -451,6 +450,14 @@ class DictBookedReference:
 def bits(obj) -> str:
     """Canonical JSON: float reprs round-trip, so equal text is equal bits."""
     return json.dumps(obj, sort_keys=True)
+
+
+def replay_history(ledger, source):
+    """Replay ``source``'s whole history into a just-restored ``ledger``,
+    through JSON like a checkpoint's history file."""
+    rounds, soc_samples = json.loads(bits(source.history_since()))
+    ledger.round_history.extend(rounds)
+    ledger.replay_soc_samples(soc_samples)
 
 
 def starve_and_feed(harness, rounds, start=0):
@@ -512,9 +519,13 @@ class TestSlotBookingExactness:
         starve_and_feed(twin, 15)  # browned out: other state and books
         assert twin.ledger.state is not source.ledger.state
         twin.restore_state(json.loads(bits(source.snapshot_state())))
+        replay_history(twin.ledger, source.ledger)
         starve_and_feed(source, 20, start=25)
         starve_and_feed(twin, 20, start=25)
         assert bits(twin.snapshot_state()) == bits(source.snapshot_state())
+        assert bits(twin.ledger.history_since()) == bits(
+            source.ledger.history_since()
+        )
 
     def test_waveform_mode_read_between_steps_sees_current_books(self):
         cap = Supercapacitor(initial_voltage_v=2.0)

@@ -42,6 +42,7 @@ from repro.obs.stream import (
     use_bus,
 )
 from repro.obs.timeline import build_timeline, timeline_to_jsonl
+from repro.resilience import read_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +467,81 @@ class TestCampaignStream:
         )
         assert spliced.event_log().to_jsonl() == reference.event_log().to_jsonl()
         assert spliced.delivery_totals() == reference.delivery_totals()
+
+
+class TestCheckpointHistory:
+    """The history file beside the checkpoints is a schema-1 stream."""
+
+    def test_history_prefix_rebuilds_the_live_views(self, tmp_path):
+        reader, log, harnesses = _make_fleet()
+        reader.run_campaign(
+            Command.READ_TEMPERATURE, 7,
+            checkpoint_every=3, checkpoint_dir=tmp_path,
+        )
+        path = reader.save_checkpoint(tmp_path)   # checkpoint k = 7
+        round_log = [dict(rec) for rec in reader.round_log]
+        events = log.to_jsonl()
+        histories = {
+            addr: [dict(info) for info in h.ledger.round_history]
+            for addr, h in harnesses.items()
+        }
+        timeline = timeline_to_jsonl(
+            build_timeline(reader.round_log, log=log, ledgers=harnesses)
+        )
+        # Later saves append rows past checkpoint 7's prefix.
+        reader.run_campaign(
+            Command.READ_TEMPERATURE, 12,
+            checkpoint_every=1, checkpoint_dir=tmp_path,
+        )
+
+        agg = StreamAggregator()
+        for row in read_checkpoint(path)["history"]:
+            agg.feed(row)
+        assert agg.round_log == round_log
+        assert agg.event_log().to_jsonl() == events
+        assert {
+            addr: ledger.round_history
+            for addr, ledger in agg.energy_ledgers().items()
+        } == histories
+        assert timeline_to_jsonl(agg.timeline_rows()) == timeline
+        assert agg.unknown_kinds == {}
+
+    def test_history_lines_are_canonical(self, tmp_path):
+        """Addresses past 9 sort differently as ints and as strings, so
+        a row keyed by int addresses would not survive a re-encode."""
+        reader, _, _ = _make_fleet(nodes=12)
+        reader.run_campaign(
+            Command.READ_TEMPERATURE, 6,
+            checkpoint_every=2, checkpoint_dir=tmp_path,
+        )
+        lines = (tmp_path / "history.jsonl").read_text().splitlines()
+        assert {event_from_line(line)["kind"] for line in lines} == {
+            "event", "round", "readings", "soc", "soc_samples",
+        }
+        for line in lines:
+            assert event_to_line(event_from_line(line)) == line
+
+    def test_history_rows_never_reach_the_bus(self, tmp_path):
+        def strip(events):
+            return [
+                event_to_line({**e, "seq": None})
+                for e in events if e["kind"] != "checkpoint"
+            ]
+
+        plain = _run_streamed()[3].events
+        checkpointed = MemorySink()
+        bus = TelemetryBus(sinks=[checkpointed])
+        with use_bus(bus):
+            reader, _, _ = _make_fleet()
+            reader.run_campaign(
+                Command.READ_TEMPERATURE, 10,
+                checkpoint_every=2, checkpoint_dir=tmp_path,
+            )
+        bus.close()
+        assert strip(checkpointed.events) == strip(plain)
+        assert not {"readings", "soc_samples"} & {
+            e["kind"] for e in checkpointed.events
+        }
 
 
 def _envelope(kind, *, seq=0, t=0.0, node=-1, source="test", data=None):

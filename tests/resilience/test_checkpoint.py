@@ -7,11 +7,14 @@ import json
 
 import pytest
 
+from repro.obs.stream import event_to_line, make_event
 from repro.resilience import checkpoint as checkpoint_module
 from repro.resilience import (
     CHECKPOINT_KIND,
     CHECKPOINT_SCHEMA,
+    HISTORY_NAME,
     CheckpointError,
+    HistoryFile,
     checkpoint_path,
     latest_checkpoint,
     read_checkpoint,
@@ -77,7 +80,7 @@ NASTY_STATE = {
 
 
 class TestByteFormat:
-    """The schema-1 file bytes are the sorted document, however written."""
+    """The file bytes are the sorted document, however written."""
 
     @pytest.mark.parametrize(
         "state, campaign",
@@ -228,3 +231,128 @@ class TestRejection:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="integrity"):
             read_checkpoint(path)
+
+
+def history_rows(start, n):
+    """``n`` history envelopes numbered from ``start``."""
+    return [
+        make_event(
+            seq, "round", t=float(seq), source="reader",
+            data={"t": float(seq), "outcomes": {"32": {"delivered": True}}},
+        )
+        for seq in range(start, start + n)
+    ]
+
+
+def checkpoint_with_history(directory, rounds=(3,), per_save=4):
+    """Checkpoints at ``rounds``, each pointing into one history file;
+    returns ``(paths, rows)``."""
+    history = HistoryFile(directory)
+    paths, rows = [], []
+    for r in rounds:
+        new = history_rows(len(rows), per_save)
+        rows += new
+        state = dict(STATE, round=r, history=history.append(new))
+        paths.append(write_checkpoint(checkpoint_path(directory, r), state, round=r))
+    return paths, rows
+
+
+def one_line_error(path) -> str:
+    with pytest.raises(CheckpointError) as info:
+        read_checkpoint(path)
+    message = str(info.value)
+    assert len(message.splitlines()) == 1
+    return message
+
+
+class TestHistoryPrefix:
+    """A checkpoint's history pointer: verified on read, ignored past."""
+
+    def test_rows_round_trip_and_later_rows_are_ignored(self, tmp_path):
+        (first, second), rows = checkpoint_with_history(tmp_path, (3, 6))
+        assert read_checkpoint(first)["history"] == rows[:4]
+        assert read_checkpoint(second)["history"] == rows
+        pointer = read_checkpoint(second)["state"]["history"]
+        assert pointer["file"] == HISTORY_NAME
+        assert pointer["lines"] == 8
+        assert pointer["bytes"] == (tmp_path / HISTORY_NAME).stat().st_size
+
+    def test_history_lines_are_canonical_stream_lines(self, tmp_path):
+        _, rows = checkpoint_with_history(tmp_path, (3, 6))
+        text = (tmp_path / HISTORY_NAME).read_text()
+        assert text == "".join(event_to_line(row) + "\n" for row in rows)
+
+    def test_partial_last_line_past_prefix_is_ignored(self, tmp_path):
+        """A crash mid-append leaves a cut line after the last prefix."""
+        (path,), rows = checkpoint_with_history(tmp_path)
+        with open(tmp_path / HISTORY_NAME, "ab") as f:
+            f.write(b'{"data":{"t":4.0,"outc')
+        assert read_checkpoint(path)["history"] == rows
+
+    def test_schema_1_file_refused(self, tmp_path):
+        """A schema-1 checkpoint embeds its history; it is not resumable."""
+        state = {"round": 3, "events": [], "round_log": []}
+        doc = {
+            "kind": CHECKPOINT_KIND, "schema": 1, "round": 3, "campaign": {},
+            "state": state, "integrity": state_integrity(state),
+        }
+        path = tmp_path / "checkpoint-000003.json"
+        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        assert "schema 1" in one_line_error(path)
+
+    def test_missing_history_file(self, tmp_path):
+        (path,), _ = checkpoint_with_history(tmp_path)
+        (tmp_path / HISTORY_NAME).unlink()
+        assert "not found" in one_line_error(path)
+
+    def test_history_shorter_than_prefix(self, tmp_path):
+        (path,), _ = checkpoint_with_history(tmp_path)
+        history = tmp_path / HISTORY_NAME
+        history.write_bytes(history.read_bytes()[:-10])
+        assert "shorter" in one_line_error(path)
+
+    def test_byte_changed_inside_prefix(self, tmp_path):
+        (path,), _ = checkpoint_with_history(tmp_path)
+        history = tmp_path / HISTORY_NAME
+        data = bytearray(history.read_bytes())
+        at = data.index(b"true")
+        data[at:at + 4] = b"null"
+        history.write_bytes(bytes(data))
+        assert "integrity" in one_line_error(path)
+
+    def test_malformed_pointer(self, tmp_path):
+        state = dict(STATE, history={"file": HISTORY_NAME})
+        path = write_checkpoint(tmp_path / "ck.json", state, round=3)
+        assert "history pointer" in one_line_error(path)
+
+
+class TestHistoryFile:
+    def test_reopening_on_a_held_prefix_truncates_to_it(self, tmp_path):
+        (first, _), rows = checkpoint_with_history(tmp_path, (3, 6))
+        prefix = read_checkpoint(first)["state"]["history"]
+        history = HistoryFile(tmp_path, prefix)
+        assert history.pointer() == prefix
+        assert (tmp_path / HISTORY_NAME).stat().st_size == prefix["bytes"]
+        history.append(rows[4:])
+        assert history.pointer()["lines"] == 8
+
+    def test_other_prefix_starts_a_new_file(self, tmp_path):
+        (first,), _ = checkpoint_with_history(tmp_path / "a")
+        prefix = read_checkpoint(first)["state"]["history"]
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / HISTORY_NAME).write_text("unrelated\n")
+        for directory in (tmp_path / "b", tmp_path / "c"):
+            history = HistoryFile(directory, prefix)
+            assert history.pointer()["lines"] == 0
+            assert (directory / HISTORY_NAME).read_bytes() == b""
+
+    def test_append_overwrites_bytes_past_the_prefix(self, tmp_path):
+        """A failed earlier append cannot wedge junk between prefixes."""
+        history = HistoryFile(tmp_path)
+        history.append(history_rows(0, 2))
+        with open(history.path, "ab") as f:
+            f.write(b"junk from a failed append")
+        history.append(history_rows(2, 2))
+        state = dict(STATE, history=history.pointer())
+        path = write_checkpoint(tmp_path / "ck.json", state, round=3)
+        assert read_checkpoint(path)["history"] == history_rows(0, 4)

@@ -116,6 +116,28 @@ class TestCheckpointFlags:
         assert "chaos-fleet" in capsys.readouterr().out
 
 
+    def test_resume_past_the_requested_rounds_fails_cleanly(
+        self, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "ckpt"
+        assert main([
+            "fleet-report", "--nodes", "3", "--rounds", "8", "--seed", "5",
+            "--checkpoint-every", "5", "--checkpoint-dir", str(ckpt),
+        ]) == 0
+        capsys.readouterr()
+        digest = tmp_path / "resumed.digest"
+        rc = main([
+            "resume", str(ckpt / "checkpoint-000005.json"), "--rounds", "2",
+            "--digest-out", str(digest),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL:")]
+        assert len(fails) == 1 and "round 5" in fails[0]
+        assert "campaign digest" not in out
+        assert not digest.exists()
+
+
 class TestKillResumeDrill:
     """The acceptance drill, end to end through the CLI."""
 

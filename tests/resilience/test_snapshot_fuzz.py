@@ -133,6 +133,14 @@ class TestEnergyLedger:
             )
         twin = NodeEnergyHarness(5, poll_period_s=0.5, dt_s=0.05)
         assert_exact_round_trip(harness, twin)
+        # The SoC series and round records are history, not state:
+        # replayed through JSON, they must come back exactly too.
+        rounds, soc_samples = json.loads(canon(harness.ledger.history_since()))
+        twin.ledger.round_history.extend(rounds)
+        twin.ledger.replay_soc_samples(soc_samples)
+        assert canon(twin.ledger.history_since()) == canon(
+            harness.ledger.history_since()
+        )
         assert canon(twin.summary()) == canon(harness.summary())
 
     def test_totals_ignore_bucket_order(self):
