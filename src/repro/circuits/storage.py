@@ -5,7 +5,14 @@ and MCU.  The model is the standard first-order ODE
 
     C * dV/dt = I_in - I_load - V / R_leak
 
-integrated explicitly at the energy engine's time step.
+integrated explicitly at the energy engine's time step.  Charging from
+the rectifier's Thevenin source is written once, in
+:meth:`Supercapacitor.charge_steps`: it runs many steps in one call,
+checks its arguments once, keeps the state in locals, and stops after
+the first step that crosses a caller's voltage bound (a power
+transition).  The result is bit-equal to one step per call, and
+:meth:`Supercapacitor.charge_from_source` is its one-step case.
+:meth:`Supercapacitor.step` is the constant-current step.
 
 Every step also keeps joule-level books: input, load, leakage, and the
 energy discarded when charging clamps at ``max_voltage_v`` (previously a
@@ -13,13 +20,14 @@ silent loss).  Flows are evaluated at the step's midpoint voltage, which
 makes the discrete accounting exact — ``harvested == stored + consumed
 + leaked + clamped`` holds to float precision, the invariant the
 :class:`~repro.obs.ledger.EnergyLedger` conservation check relies on.
-An optional ``observer`` callable receives each step's flows, which is
-how a ledger taps the capacitor without the capacitor knowing about the
-observability layer.
+An optional ``observer`` callable receives each step's flows, in a
+multi-step call too, which is how a ledger taps the capacitor without
+the capacitor knowing about the observability layer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.constants import SUPERCAP_FARADS
@@ -55,7 +63,8 @@ class Supercapacitor:
     adjusted_j: float = field(init=False, default=0.0)
     #: Optional per-step flow hook: called as
     #: ``observer(dt_s, voltage_v, e_in_j, e_load_j, e_leak_j, e_clamp_j)``
-    #: after every step.  ``None`` (the default) costs one ``is None``
+    #: after every step, with the capacitor's attributes already at that
+    #: step's result.  ``None`` (the default) costs one ``is None``
     #: check — the disabled-ledger hot path.
     observer: object = field(default=None, repr=False)
 
@@ -183,12 +192,93 @@ class Supercapacitor:
 
         Current in = max(0, (V_src - V_cap) / R_src): the rectifier diodes
         block reverse flow when the capacitor sits above the rectifier's
-        open-circuit voltage.
+        open-circuit voltage.  One step of :meth:`charge_steps`; returns
+        the new voltage [V].
+        """
+        self.charge_steps(1, dt_s, source_voltage_v, source_resistance_ohm, i_load_a)
+        return self.voltage_v
+
+    def charge_steps(
+        self,
+        steps: int,
+        dt_s: float,
+        source_voltage_v: float,
+        source_resistance_ohm: float,
+        i_load_a: float = 0.0,
+        *,
+        stop_below_v: float = -math.inf,
+        stop_at_or_above_v: float = math.inf,
+    ) -> int:
+        """Run up to ``steps`` Thevenin-source steps; return how many ran.
+
+        Each step draws ``max(0, (V_src - V_cap) / R_src)`` from the
+        source and is then :meth:`step` at that current, with the same
+        float operations in the same order: ``n`` steps here leave the
+        voltage and the joule books bit-equal to ``n`` :meth:`step`
+        calls.  The arguments are checked once, the loop keeps its
+        state in locals, and the ``observer`` is still called after
+        every step.  The run stops after the first step whose voltage
+        is below ``stop_below_v`` or at/above ``stop_at_or_above_v``
+        (the caller's power transition).
         """
         if source_resistance_ohm <= 0:
             raise ValueError("source resistance must be positive")
-        i_in = max(0.0, (source_voltage_v - self.voltage_v) / source_resistance_ohm)
-        return self.step(dt_s, i_in_a=i_in, i_load_a=i_load_a)
+        if dt_s <= 0:
+            raise ValueError("time step must be positive")
+        if i_load_a < 0:
+            raise ValueError("currents must be non-negative")
+        r_leak = self.leakage_resistance_ohm
+        c = self.capacitance_f
+        half_c = 0.5 * c
+        v_max = self.max_voltage_v
+        observer = self.observer
+        v0 = self.voltage_v
+        v0_sq = v0 * v0
+        harvested, consumed = self.harvested_j, self.consumed_j
+        leaked, clamped = self.leaked_j, self.clamped_j
+        n = 0
+        for n in range(1, steps + 1):
+            # step's float operations in step's order; the comparisons
+            # spell out max(0.0, i_in) and min(max(v1, 0.0), v_max), and
+            # v0_sq is the previous step's v1 * v1, the product step redoes.
+            i_in = (source_voltage_v - v0) / source_resistance_ohm
+            if not i_in > 0.0:
+                i_in = 0.0
+            i_leak = v0 / r_leak
+            v1 = v0 + (i_in - i_load_a - i_leak) * dt_s / c
+            if v1 < 0.0:
+                v1 = 0.0
+            if v1 > v_max:
+                v1 = v_max
+            v_mid = 0.5 * (v0 + v1)
+            e_in = i_in * v_mid * dt_s
+            e_load = i_load_a * v_mid * dt_s
+            e_leak = i_leak * v_mid * dt_s
+            v1_sq = v1 * v1
+            e_stored = half_c * (v1_sq - v0_sq)
+            residual = e_in - e_load - e_leak - e_stored
+            e_clamp = 0.0
+            if residual > 0.0:
+                e_clamp = residual
+            elif residual < 0.0:
+                e_load += residual
+            harvested += e_in
+            consumed += e_load
+            leaked += e_leak
+            clamped += e_clamp
+            v0, v0_sq = v1, v1_sq
+            if observer is not None:
+                # The observer sees the capacitor as step leaves it.
+                self.voltage_v = v1
+                self.harvested_j, self.consumed_j = harvested, consumed
+                self.leaked_j, self.clamped_j = leaked, clamped
+                observer(dt_s, v1, e_in, e_load, e_leak, e_clamp)
+            if v1 < stop_below_v or v1 >= stop_at_or_above_v:
+                break
+        self.voltage_v = v0
+        self.harvested_j, self.consumed_j = harvested, consumed
+        self.leaked_j, self.clamped_j = leaked, clamped
+        return n
 
     def time_to_reach(
         self,

@@ -211,6 +211,7 @@ class MonitoringSession:
     ) -> PollOutcome:
         v_before = self.capacitor.voltage_v
         dt = self.DT_S
+        v_min = self.regulator.minimum_input_v
         ok = True
         for phase, duration in (
             (PowerState.DECODING, decode_s),
@@ -218,15 +219,12 @@ class MonitoringSession:
             (PowerState.BACKSCATTER, backscatter_s),
         ):
             i_load = self.power_model.current_a(phase, bitrate=self.bitrate)
-            steps = max(int(duration / dt), 1)
-            for _ in range(steps):
-                self.capacitor.charge_from_source(
-                    dt, v_oc, r_out, i_load_a=i_load
-                )
-                if self.capacitor.voltage_v < self.regulator.minimum_input_v:
-                    ok = False
-                    break
-            if not ok:
+            self.capacitor.charge_steps(
+                max(int(duration / dt), 1), dt, v_oc, r_out, i_load,
+                stop_below_v=v_min,
+            )
+            if self.capacitor.voltage_v < v_min:
+                ok = False
                 break
         return PollOutcome(
             time_s=time_s,

@@ -239,11 +239,13 @@ class PowerUpSimulator:
             PowerState.BACKSCATTER, bitrate=bitrate
         )
         self._ledger_state(PowerState.BACKSCATTER)
-        steps = max(int(backscatter_s / dt_s), 1)
-        for _ in range(steps):
-            self.capacitor.charge_from_source(dt_s, v_oc, r_out, i_load_a=i_load)
-            if self.capacitor.voltage_v < self.regulator.minimum_input_v:
-                self._ledger_state(PowerState.COLD)
-                return False
+        v_min = self.regulator.minimum_input_v
+        self.capacitor.charge_steps(
+            max(int(backscatter_s / dt_s), 1), dt_s, v_oc, r_out, i_load,
+            stop_below_v=v_min,
+        )
+        if self.capacitor.voltage_v < v_min:
+            self._ledger_state(PowerState.COLD)
+            return False
         self._ledger_state(PowerState.IDLE)
         return True

@@ -23,7 +23,10 @@ Two feeding modes:
 * **Round mode** — :class:`NodeEnergyHarness` advances one node's
   supercapacitor through a polling round (DECODING + BACKSCATTER +
   IDLE segments, or COLD while browned out), driven by
-  :meth:`~repro.net.reader.ReaderController.poll_round`.
+  :meth:`~repro.net.reader.ReaderController.poll_round`.  Each segment
+  is one :meth:`~repro.circuits.storage.Supercapacitor.charge_steps`
+  call per stretch between power transitions; the observer still
+  books every step, so the books are those of a per-step loop.
 
 Disabled is free: nothing here runs unless a ledger is constructed and
 attached — the hot-path cost of *not* using one is a single ``is None``
@@ -193,14 +196,20 @@ class EnergyLedger:
         self._leaked = flows.get(("leaked", state), _UNBOOKED)
         self._clamped = flows.get(("clamped", state), _UNBOOKED)
 
+    def _booked_slots(self) -> list:
+        """``(direction, joules)`` of the current bucket's booked slots."""
+        slots = (self._harvested, self._consumed, self._leaked, self._clamped)
+        return [
+            (direction, joules) for direction, joules in zip(DIRECTIONS, slots)
+            if joules or math.copysign(1.0, joules) > 0.0  # not _UNBOOKED
+        ]
+
     def _store_books(self) -> None:
         """Write the slots back; every read of the books calls this first."""
         state = self._books_state
         self._state_seconds[state] = self._seconds
-        slots = (self._harvested, self._consumed, self._leaked, self._clamped)
-        for direction, joules in zip(DIRECTIONS, slots):
-            if joules or math.copysign(1.0, joules) > 0.0:  # not _UNBOOKED
-                self._flows[(direction, state)] = joules
+        for direction, joules in self._booked_slots():
+            self._flows[(direction, state)] = joules
 
     @property
     def state_seconds(self) -> dict:
@@ -265,16 +274,28 @@ class EnergyLedger:
         """Total joules for a direction (optionally one state's bucket)."""
         if direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {direction!r}")
-        self._store_books()
         if state is not None:
+            self._store_books()
             return self._flows.get((direction, PowerState(state)), 0.0)
-        return self._total(direction)
+        return self._direction_totals()[DIRECTIONS.index(direction)]
 
-    def _total(self, direction: str) -> float:
-        # fsum: exactly rounded, so the total is independent of bucket
-        # order (live insertion order vs the sorted order a checkpoint
-        # restore rebuilds the dict in).
-        return math.fsum(v for (d, _), v in self._flows.items() if d == direction)
+    def _direction_totals(self) -> tuple:
+        """Joules per direction over every bucket, in ``DIRECTIONS`` order.
+
+        One pass over the buckets, with the current bucket read from its
+        slots instead of written back first.  ``fsum`` is exactly
+        rounded, so each total is independent of bucket order (live
+        insertion order vs the sorted order a checkpoint restore
+        rebuilds the dict in).
+        """
+        current = self._books_state
+        joules = {direction: [] for direction in DIRECTIONS}
+        for (direction, state), value in self._flows.items():
+            if state is not current:
+                joules[direction].append(value)
+        for direction, value in self._booked_slots():
+            joules[direction].append(value)
+        return tuple(map(math.fsum, joules.values()))
 
     @property
     def harvested_j(self) -> float:
@@ -316,8 +337,7 @@ class EnergyLedger:
         else:
             stored_delta = 0.0
             adjusted = 0.0
-        self._store_books()
-        harvested, consumed, leaked, clamped = map(self._total, DIRECTIONS)
+        harvested, consumed, leaked, clamped = self._direction_totals()
         error = harvested + adjusted - stored_delta - consumed - leaked - clamped
         scale = max(harvested + abs(adjusted), 1e-12)
         return {
@@ -595,6 +615,10 @@ class NodeEnergyHarness:
     ) -> None:
         if poll_period_s <= 0 or dt_s <= 0:
             raise ValueError("poll_period_s and dt_s must be positive")
+        if decode_s < 0 or backscatter_s < 0:
+            raise ValueError("decode_s and backscatter_s must be non-negative")
+        if r_out_ohm <= 0:
+            raise ValueError("r_out_ohm must be positive")
         if decode_s + backscatter_s > poll_period_s:
             raise ValueError("active segments cannot exceed the poll period")
         if brownout_v > threshold_v:
@@ -629,6 +653,14 @@ class NodeEnergyHarness:
         )
 
     def _run_segment(self, state: PowerState, seconds: float) -> None:
+        """Integrate one segment, one capacitor call per power stretch.
+
+        Each :meth:`~repro.circuits.storage.Supercapacitor.charge_steps`
+        call runs until the segment ends or the voltage crosses the
+        current transition (below ``brownout_v`` while powered, at or
+        above ``threshold_v`` while not); the transition then moves the
+        ledger's bucket and the load exactly as a per-step check would.
+        """
         if seconds <= 0:
             return
         ledger = self.ledger
@@ -639,26 +671,29 @@ class NodeEnergyHarness:
         )
         steps = max(int(round(seconds / self.dt_s)), 1)
         dt = seconds / steps
-        # Hoisted into locals: the loop body runs once per ODE step.
         cap = self.capacitor
-        charge = cap.charge_from_source
         v_oc, r_out = self.v_oc_v, self.r_out_ohm
         brownout_v, threshold_v = self.brownout_v, self.threshold_v
-        for _ in range(steps):
-            charge(dt, v_oc, r_out, i_load_a=i_load)
-            v = cap.voltage_v
+        while steps:
             if self.powered:
-                if v < brownout_v:
+                steps -= cap.charge_steps(
+                    steps, dt, v_oc, r_out, i_load, stop_below_v=brownout_v
+                )
+                if cap.voltage_v < brownout_v:
                     self.powered = False
                     ledger.set_state(PowerState.COLD)
                     i_load = 0.0
-            elif v >= threshold_v:
-                self.powered = True
-                if ledger.state is PowerState.COLD:
-                    ledger.set_state(PowerState.IDLE)
-                i_load = self.power_model.current_a(
-                    state, bitrate=self.bitrate
-                ) if ledger.state is state else 0.0
+            else:
+                steps -= cap.charge_steps(
+                    steps, dt, v_oc, r_out, i_load, stop_at_or_above_v=threshold_v
+                )
+                if cap.voltage_v >= threshold_v:
+                    self.powered = True
+                    if ledger.state is PowerState.COLD:
+                        ledger.set_state(PowerState.IDLE)
+                    i_load = self.power_model.current_a(
+                        state, bitrate=self.bitrate
+                    ) if ledger.state is state else 0.0
 
     def on_poll_round(
         self, t: float, *, polled: bool, success: bool, bitrate: float | None = None
@@ -671,7 +706,8 @@ class NodeEnergyHarness:
         """
         if bitrate is not None and bitrate > 0:
             self.bitrate = float(bitrate)
-        before = self.ledger.balance()
+        totals = self.ledger._direction_totals
+        h0, c0, l0, k0 = totals()
         was_powered = self.powered
         idle_s = self.poll_period_s
         if polled and self.powered:
@@ -681,12 +717,9 @@ class NodeEnergyHarness:
         self._run_segment(
             PowerState.IDLE if self.powered else PowerState.COLD, idle_s
         )
-        after = self.ledger.balance()
-        harvested = after["harvested_j"] - before["harvested_j"]
-        consumed = (
-            after["consumed_j"] + after["leaked_j"] + after["clamped_j"]
-            - before["consumed_j"] - before["leaked_j"] - before["clamped_j"]
-        )
+        h1, c1, l1, k1 = totals()
+        harvested = h1 - h0
+        consumed = c1 + l1 + k1 - c0 - l0 - k0
         info = {
             "t": float(t),
             "node": self.node,

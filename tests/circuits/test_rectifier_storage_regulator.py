@@ -1,7 +1,9 @@
 """Tests for rectifier, supercapacitor, and LDO models."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.circuits import (
     LowDropoutRegulator,
@@ -223,6 +225,110 @@ class TestSupercapacitorBooks:
         assert len(record) == pytest.approx(t / 1e-3, abs=1.5)
         assert record[-1] >= 2.5
         assert record == sorted(record)  # monotone charging
+
+
+def per_step_charge(cap, steps, dt, v_src, r_src, i_load, stop_below, stop_at_or_above):
+    """The Thevenin step as one ``step`` call each, stopping at the first
+    crossing: the loop :meth:`Supercapacitor.charge_steps` must match."""
+    for n in range(1, steps + 1):
+        i_in = max(0.0, (v_src - cap.voltage_v) / r_src)
+        v = cap.step(dt, i_in_a=i_in, i_load_a=i_load)
+        if v < stop_below or v >= stop_at_or_above:
+            return n
+    return steps
+
+
+def books(cap):
+    return [
+        x.hex() for x in (
+            cap.voltage_v, cap.harvested_j, cap.consumed_j,
+            cap.leaked_j, cap.clamped_j,
+        )
+    ]
+
+
+def recording(cap, seen):
+    """Observer recording each step's arguments and the capacitor it sees."""
+
+    def observer(*flows):
+        seen.append([x.hex() for x in flows] + books(cap))
+
+    cap.observer = observer
+
+
+class TestChargeSteps:
+    """One multi-step call equals the per-step loop bit for bit."""
+
+    @given(
+        v0=st.floats(0.0, 5.5),
+        v_src=st.floats(0.0, 8.0),
+        r_src=st.floats(1.0, 1e5),
+        i_load=st.floats(0.0, 0.05),
+        dt=st.floats(1e-4, 1.0),
+        steps=st.integers(0, 60),
+        stop_below=st.one_of(st.just(-math.inf), st.floats(0.0, 5.5)),
+        stop_at_or_above=st.one_of(st.just(math.inf), st.floats(0.0, 5.5)),
+    )
+    # Clamped at max_voltage_v, then floored at 0 V.
+    @example(v0=5.0, v_src=8.0, r_src=1.0, i_load=0.0, dt=0.5, steps=5,
+             stop_below=-math.inf, stop_at_or_above=math.inf)
+    @example(v0=0.5, v_src=0.0, r_src=1e3, i_load=0.05, dt=0.5, steps=5,
+             stop_below=-math.inf, stop_at_or_above=math.inf)
+    # Stops mid-run on each bound.
+    @example(v0=3.0, v_src=1.0, r_src=4e3, i_load=5e-4, dt=0.02, steps=60,
+             stop_below=2.98, stop_at_or_above=math.inf)
+    @example(v0=2.0, v_src=4.0, r_src=4e3, i_load=0.0, dt=0.02, steps=60,
+             stop_below=-math.inf, stop_at_or_above=2.02)
+    def test_matches_per_step_reference(
+        self, v0, v_src, r_src, i_load, dt, steps, stop_below, stop_at_or_above,
+    ):
+        one_call = Supercapacitor(initial_voltage_v=v0, max_voltage_v=5.5)
+        reference = Supercapacitor(initial_voltage_v=v0, max_voltage_v=5.5)
+        seen, seen_ref = [], []
+        recording(one_call, seen)
+        recording(reference, seen_ref)
+        n = one_call.charge_steps(
+            steps, dt, v_src, r_src, i_load,
+            stop_below_v=stop_below, stop_at_or_above_v=stop_at_or_above,
+        )
+        n_ref = per_step_charge(
+            reference, steps, dt, v_src, r_src, i_load, stop_below, stop_at_or_above
+        )
+        assert n == n_ref == len(seen)
+        assert books(one_call) == books(reference)
+        assert seen == seen_ref
+
+    def test_without_observer_matches_per_step_reference(self):
+        one_call = Supercapacitor(initial_voltage_v=5.4)
+        reference = Supercapacitor(initial_voltage_v=5.4)
+        assert one_call.charge_steps(400, 0.05, 8.0, 50.0, 2e-2) == 400
+        per_step_charge(reference, 400, 0.05, 8.0, 50.0, 2e-2, -math.inf, math.inf)
+        assert reference.voltage_v == 5.5 and reference.clamped_j > 1e-3
+        assert books(one_call) == books(reference)
+
+    def test_charge_from_source_is_one_step(self):
+        cap = Supercapacitor(initial_voltage_v=1.0)
+        reference = Supercapacitor(initial_voltage_v=1.0)
+        v = cap.charge_from_source(0.05, 4.0, 4e3, i_load_a=5e-5)
+        per_step_charge(reference, 1, 0.05, 4.0, 4e3, 5e-5, -math.inf, math.inf)
+        assert v == cap.voltage_v
+        assert books(cap) == books(reference)
+
+    def test_zero_steps_run_nothing(self):
+        cap = Supercapacitor(initial_voltage_v=1.0)
+        cap.observer = lambda *flows: pytest.fail("observer called")
+        assert cap.charge_steps(0, 0.05, 4.0, 4e3) == 0
+        assert cap.voltage_v == 1.0 and cap.harvested_j == 0.0
+
+    def test_validation(self):
+        cap = Supercapacitor()
+        with pytest.raises(ValueError, match="source resistance must be positive"):
+            cap.charge_steps(3, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="time step must be positive"):
+            cap.charge_steps(3, 0.0, 1.0, 1e3)
+        with pytest.raises(ValueError, match="currents must be non-negative"):
+            cap.charge_steps(3, 1.0, 1.0, 1e3, -1e-3)
+        assert cap.voltage_v == 0.0
 
 
 class TestLDO:

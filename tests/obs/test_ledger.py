@@ -344,6 +344,16 @@ class TestNodeEnergyHarness:
             NodeEnergyHarness(1, brownout_v=3.0, threshold_v=2.5)
         with pytest.raises(ValueError):
             NodeEnergyHarness(1, poll_period_s=0.0)
+        # Negative segments would run the ledger clock past the round.
+        with pytest.raises(ValueError):
+            NodeEnergyHarness(1, decode_s=-0.1, backscatter_s=0.2)
+        with pytest.raises(ValueError):
+            NodeEnergyHarness(1, decode_s=0.1, backscatter_s=-0.05)
+        # A source without resistance fails here, not in the first round.
+        with pytest.raises(ValueError):
+            NodeEnergyHarness(1, r_out_ohm=0.0)
+        with pytest.raises(ValueError):
+            NodeEnergyHarness(1, r_out_ohm=-4e3)
 
     def test_summary_and_metrics_delegate(self):
         harness = NodeEnergyHarness(6)
@@ -539,3 +549,89 @@ class TestSlotBookingExactness:
             assert ledger.total("consumed", PowerState.IDLE) == cap.consumed_j
             assert ledger.total("leaked") == cap.leaked_j
             assert ledger.state_seconds[PowerState.IDLE] == ledger.t
+
+
+class PerStepHarness(NodeEnergyHarness):
+    """Reference harness: each segment integrated one Thevenin step at a
+    time through ``Supercapacitor.step``, checking the power transition
+    after every step, and counting the transitions that land before a
+    segment's last step."""
+
+    mid_segment_transitions = 0
+
+    def _run_segment(self, state, seconds):
+        if seconds <= 0:
+            return
+        ledger = self.ledger
+        ledger.set_state(state)
+        i_load = (
+            self.power_model.current_a(state, bitrate=self.bitrate)
+            if self.powered else 0.0
+        )
+        steps = max(int(round(seconds / self.dt_s)), 1)
+        dt = seconds / steps
+        cap = self.capacitor
+        for step in range(1, steps + 1):
+            i_in = max(0.0, (self.v_oc_v - cap.voltage_v) / self.r_out_ohm)
+            v = cap.step(dt, i_in_a=i_in, i_load_a=i_load)
+            was_powered = self.powered
+            if self.powered:
+                if v < self.brownout_v:
+                    self.powered = False
+                    ledger.set_state(PowerState.COLD)
+                    i_load = 0.0
+            elif v >= self.threshold_v:
+                self.powered = True
+                if ledger.state is PowerState.COLD:
+                    ledger.set_state(PowerState.IDLE)
+                i_load = self.power_model.current_a(
+                    state, bitrate=self.bitrate
+                ) if ledger.state is state else 0.0
+            if self.powered is not was_powered and step < steps:
+                self.mid_segment_transitions += 1
+
+
+class TestSegmentExactness:
+    """One capacitor call per power stretch integrates every segment bit
+    for bit like the per-step loop, across brownouts and recoveries."""
+
+    @pytest.mark.parametrize("max_soc_samples", [4096, 64])
+    def test_state_and_history_bit_equal(self, max_soc_samples):
+        def make(cls):
+            return cls(
+                9, v_oc_v=1.5, initial_voltage_v=2.3, bitrate=2_000.0,
+                ledger=EnergyLedger(9, max_soc_samples=max_soc_samples),
+            )
+
+        harness, reference = make(NodeEnergyHarness), make(PerStepHarness)
+        for start in range(0, 60, 10):
+            starve_and_feed(harness, 10, start=start)
+            starve_and_feed(reference, 10, start=start)
+            assert bits(harness.snapshot_state()) == bits(reference.snapshot_state())
+        assert reference.ledger.brownouts >= 2
+        assert reference.mid_segment_transitions >= 4
+        if max_soc_samples == 64:
+            assert reference.ledger._soc_stride > 1
+        assert bits(harness.ledger.history_since()) == bits(
+            reference.ledger.history_since()
+        )
+
+    def test_round_energy_is_the_difference_of_direction_totals(self):
+        """Each round record's harvest and consumption are the per-direction
+        fsum totals after the round minus those before it."""
+        harness = NodeEnergyHarness(
+            9, v_oc_v=1.5, initial_voltage_v=2.3, bitrate=2_000.0
+        )
+        ref = DictBookedReference(harness.ledger)
+        for t in range(40):
+            before = ref.balance()
+            starve_and_feed(harness, 1, start=t)
+            after = ref.balance()
+            info = harness.ledger.round_history[-1]
+            assert bits(info["harvested_j"]) == bits(
+                after["harvested_j"] - before["harvested_j"]
+            )
+            assert bits(info["consumed_j"]) == bits(
+                after["consumed_j"] + after["leaked_j"] + after["clamped_j"]
+                - before["consumed_j"] - before["leaked_j"] - before["clamped_j"]
+            )
