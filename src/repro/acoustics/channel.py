@@ -23,6 +23,7 @@ from repro.acoustics.multipath import ImageSourceModel, Path
 from repro.acoustics.noise import AmbientNoiseModel
 from repro.constants import NOMINAL_SOUND_SPEED
 from repro.perf.cache import get_cache
+from repro.perf.kernels import stack_rows
 
 
 @dataclass
@@ -149,6 +150,19 @@ class AcousticChannel:
             return float("inf")
         return -20.0 * float(np.log10(g))
 
+    @staticmethod
+    def propagate(channels, waveforms) -> np.ndarray:
+        """Noise-free propagation of an (N, samples) stack, row i through ``channels[i]``.
+
+        One ``fftconvolve`` over the stack along the last axis: pocketfft
+        transforms each row with the plan a lone 1-D call would use, so
+        row i equals ``channels[i].apply(waveforms[i],
+        include_noise=False).waveform`` bit for bit.  The channels'
+        impulse responses must share one length.
+        """
+        irs = stack_rows([channel._impulse for channel in channels])
+        return fftconvolve(np.asarray(waveforms, dtype=float), irs, axes=-1)
+
     def apply(
         self,
         waveform: np.ndarray,
@@ -160,7 +174,7 @@ class AcousticChannel:
         waveform = np.asarray(waveform, dtype=float)
         if waveform.ndim != 1:
             raise ValueError("waveform must be one-dimensional")
-        received = fftconvolve(waveform, self._impulse)
+        received = AcousticChannel.propagate([self], waveform[None])[0]
         if include_noise and self.noise is not None and rng_noise:
             received = received + self.noise.generate(
                 len(received), self.sample_rate

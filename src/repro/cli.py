@@ -949,11 +949,16 @@ def _cmd_diff(args) -> int:
 
 
 #: Stage name -> (module, class, method) patched by ``bench --inject``.
+#: Both propagation stages run through the stacked channel convolution.
 _INJECT_TARGETS = {
     "link.pwm_synthesis": ("repro.core.projector", "Projector", "query_waveform"),
-    "link.downlink_propagation": ("repro.acoustics.channel", "AcousticChannel", "apply"),
+    "link.downlink_propagation": (
+        "repro.acoustics.channel", "AcousticChannel", "propagate",
+    ),
     "link.node": ("repro.circuits.schmitt", "SchmittTrigger", "process"),
-    "link.uplink_propagation": ("repro.acoustics.channel", "AcousticChannel", "apply"),
+    "link.uplink_propagation": (
+        "repro.acoustics.channel", "AcousticChannel", "propagate",
+    ),
     "link.hydrophone_dsp": ("repro.dsp.demod", "BackscatterDemodulator", "demodulate"),
 }
 
@@ -977,12 +982,15 @@ def _apply_injection(spec: str):
     seconds = float(rest)
     mod_name, cls_name, attr = _INJECT_TARGETS[stage]
     cls = getattr(importlib.import_module(mod_name), cls_name)
-    original = getattr(cls, attr)
+    original = vars(cls)[attr]
+    call = getattr(cls, attr)
 
-    def slowed(self, *a, **kw):
+    def slowed(*a, **kw):
         _time.sleep(seconds)
-        return original(self, *a, **kw)
+        return call(*a, **kw)
 
+    if isinstance(original, staticmethod):
+        slowed = staticmethod(slowed)
     setattr(cls, attr, slowed)
     return cls, attr, original
 
@@ -1582,8 +1590,7 @@ def _cmd_profile(args) -> int:
         )
         for key in (
             "windows", "rounds", "planned", "env_batched",
-            "carriers_batched", "tails_batched", "tails_inline",
-            "demods_precomputed",
+            "carriers_batched", "tails_batched", "demods_precomputed",
         ):
             batch_tbl.add_row(key, batch_stats.get(key, 0))
         for stage, count in sorted(batch_stats.get("groups", {}).items()):

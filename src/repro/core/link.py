@@ -20,10 +20,17 @@ carrier, multipath distortion included.
 Every exchange, observed or not, runs one path: the node's side of
 step 3 runs for real, and the pre-noise waveforms go through a per-link
 leg memo that ``caching_disabled()`` turns into a pass-through.
+
+The waveform stages of steps 2-4 (``_incident``, ``_direct``,
+``_envelope``, ``_carrier_legs``, ``_uplink_legs``) take one row per
+link as an (N, samples) stack.  A live exchange is the one-row call,
+and the batched fleet engine (:mod:`repro.perf.batch`) calls the same
+functions on groups of rows, so both modes share one implementation.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -33,6 +40,7 @@ import scipy.fft
 from scipy.signal import hilbert
 
 from repro.acoustics.channel import AcousticChannel
+from repro.acoustics.doppler import apply_doppler
 from repro.acoustics.geometry import Position, Tank
 from repro.acoustics.noise import AmbientNoiseModel
 from repro.dsp.demod import DemodResult
@@ -43,9 +51,10 @@ from repro.core.hydrophone import Hydrophone
 from repro.core.projector import Projector
 from repro.net.messages import Query, Response
 from repro.node.node import PABNode
-from repro.obs.probe import ProbeRegistry, get_probes
+from repro.obs.probe import ProbeRegistry, get_probes, use_probes
 from repro.obs.trace import NULL_SPAN, get_tracer
 from repro.perf.cache import LRUCache
+from repro.perf.kernels import stack_rows
 from repro.piezo.transducer import Transducer
 
 
@@ -114,9 +123,9 @@ def reradiation_response(
     """The rfft-bin gain vector of the transducer's re-radiation filter.
 
     A pure function of (transducer, length, carrier, rate), split out of
-    :func:`apply_reradiation_filter` so callers that filter many
-    same-length waveforms — the leg memo and the batched fleet engine —
-    can compute it once per length instead of once per waveform.
+    :func:`apply_reradiation_filter` so the uplink stage
+    (:func:`_uplink_legs`), which filters many same-length waveforms,
+    can take it from the leg memo once per length.
     """
     freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
     response = np.ones_like(freqs)
@@ -151,7 +160,9 @@ def apply_reradiation_filter(
 
     The transform runs through :mod:`scipy.fft` (pypocketfft), which is
     bit-identical to ``np.fft`` but ~1.7x faster at the awkward
-    (often prime) mixture lengths this filter sees.
+    (often prime) mixture lengths this filter sees.  The exchange runs
+    the same filter over row stacks in :func:`_uplink_legs`; this 1-D
+    form is its reference.
     """
     x = np.asarray(waveform, dtype=float)
     if len(x) == 0:
@@ -162,6 +173,143 @@ def apply_reradiation_filter(
             transducer, len(x), carrier_hz, sample_rate
         )
     return scipy.fft.irfft(spectrum * response, n=len(x))
+
+
+# -- stacked stages ---------------------------------------------------------------------
+#
+# Each stage takes one row per link, as an (N, samples) stack, and row i
+# of its result is links[i]'s own one-row call, bit for bit: the stacked
+# convolutions and transforms run each row with the plan a lone 1-D call
+# would use, and everything data-dependent runs per row.  A live
+# exchange is the one-row call; the batched engine (repro.perf.batch)
+# makes one call per group of rows that share the shapes a stack needs.
+
+
+def _incident(links, tx) -> np.ndarray:
+    """Incident pressure at each row's node [Pa], from its projector's ``tx`` row."""
+    gains = np.array([link.beam_gain_node for link in links])[:, None]
+    return gains * AcousticChannel.propagate(
+        [link.ch_projector_node for link in links], tx
+    )
+
+
+def _direct(links, tx) -> np.ndarray:
+    """Each row's projector waveform as it reaches the hydrophone [Pa]."""
+    gains = np.array([link.beam_gain_hydrophone for link in links])[:, None]
+    return gains * AcousticChannel.propagate(
+        [link.ch_projector_hydrophone for link in links], tx
+    )
+
+
+def _envelope(links, incident) -> np.ndarray:
+    """The query envelope each row's node detects in its ``incident`` row.
+
+    The node's resonant element passes its receive band
+    (:meth:`BackscatterLink._node_band`), and the PWM detector rectifies
+    and low-passes that.  Every row shares ``links[0]``'s band, carrier
+    and sample rate.
+    """
+    link = links[0]
+    fs = link.sample_rate
+    lo, hi = link._node_band()
+    return envelope_detect(
+        butter_bandpass(incident, lo, hi, fs, order=2),
+        link.projector.carrier_hz, fs,
+    )
+
+
+def _carrier_legs(
+    links, tx, rows, stage=_untraced, probes=_UNPROBED
+) -> list[CarrierLeg]:
+    """The :class:`CarrierLeg` of each row's query-then-carrier ``tx``.
+
+    ``rows[i]`` is ``(uplink_start, n_chips, bitrate, mode)`` for row i.
+    Both channel convolutions run stacked; the analytic (Hilbert)
+    transform, which gains nothing from stacking on one core, and the
+    cut to a slim leg run per row.  ``stage(name, **attrs)`` opens each
+    stage's span; ``probes`` receives the ``incident_carrier`` tap.
+    """
+    samples = tx.shape[-1]
+    with stage("link.downlink_propagation", segment="carrier", samples=samples):
+        incident = _incident(links, tx)
+    if probes.wants("link.downlink_propagation"):
+        for link, row in zip(links, incident):
+            fs = link.sample_rate
+            probes.capture(
+                "link.downlink_propagation", "incident_carrier",
+                waveform=row, sample_rate=fs, segment="carrier",
+                band_snr_db=band_snr_db(row, fs, *link._node_band()),
+            )
+    with stage("link.uplink_propagation", segment="direct", samples=samples):
+        direct = _direct(links, tx)
+    with stage("link.node", phase="backscatter", segment="carrier"):
+        return [
+            link._slim_carrier(hilbert(inc), dir_, *row)
+            for link, inc, dir_, row in zip(links, incident, direct, rows)
+        ]
+
+
+def _uplink_legs(
+    links, carriers, chips, bitrates, stage=_untraced, probes=_UNPROBED
+) -> list[UplinkLeg]:
+    """The quiet :class:`UplinkLeg` of each row's carrier, modulated by its chips.
+
+    Row i reflects ``carriers[i]`` with ``chips[i]`` at ``bitrates[i]``
+    (:meth:`BackscatterLink._reflected`), re-radiates it through the
+    transducer's resonance (as :func:`apply_reradiation_filter` does:
+    one stacked rfft, each row's response, one stacked irfft), dilates
+    a drifting node's row by its one-way Doppler (the direct carrier is
+    unaffected; the downlink's shift is second-order for the envelope),
+    propagates the stack to the hydrophone and mixes each row with its
+    direct carrier (:meth:`BackscatterLink._quiet_tail`).  Every step is
+    elementwise over the whole waveform, so the analysed tail of the
+    quiet mixture is the whole mixture's tail bit for bit.  The
+    carriers share one waveform length.  ``probes`` receives the
+    ``backscatter_reflected`` tap.
+    """
+    with stage("link.node", phase="backscatter", chips=sum(map(len, chips))):
+        reflected = stack_rows([
+            link._reflected(c.idle, c.window, c.reply_start, row_chips, bitrate)
+            for link, c, row_chips, bitrate in zip(
+                links, carriers, chips, bitrates
+            )
+        ])
+        n = reflected.shape[-1]
+        responses = stack_rows([link._reradiation_response(n) for link in links])
+        reflected = scipy.fft.irfft(
+            scipy.fft.rfft(reflected, axis=-1) * responses, n=n, axis=-1
+        )
+        for link, row in zip(links, reflected):
+            if link.node_velocity_mps:
+                moved = apply_doppler(
+                    row, link.node_velocity_mps, link.sample_rate
+                )[:n]
+                row[: len(moved)] = moved
+                row[len(moved):] = 0.0
+    if probes.wants("link.node"):
+        for link, row, c, row_chips in zip(links, reflected, carriers, chips):
+            probes.capture(
+                "link.node", "backscatter_reflected",
+                waveform=row, sample_rate=link.sample_rate,
+                reply_start=int(c.reply_start), chips=len(row_chips),
+            )
+    with stage("link.uplink_propagation", samples=n):
+        uplinks = AcousticChannel.propagate(
+            [link.ch_node_hydrophone for link in links], reflected
+        )
+        legs = [
+            BackscatterLink._quiet_tail(c, uplink)
+            for c, uplink in zip(carriers, uplinks)
+        ]
+    if probes.wants("link.uplink_propagation"):
+        legs = [
+            leg._replace(
+                direct_rms_pa=_rms(c.direct_tail),
+                uplink_rms_pa=_rms(uplink[leg.analysis_start:]),
+            )
+            for leg, c, uplink in zip(legs, carriers, uplinks)
+        ]
+    return legs
 
 
 @dataclass
@@ -330,7 +478,9 @@ class BackscatterLink:
         :class:`~repro.obs.postmortem.DecodePostmortem` (filed in the
         registry, attached to the result and the active span).  Probes
         change only which memo legs are computed: a leg whose stages an
-        enabled probe wants is computed instead of recalled.
+        enabled probe wants is computed instead of recalled.  A link's
+        own registry is installed as the global one for each exchange,
+        so it also receives the demodulator, sync and FM0 taps.
     """
 
     #: The five per-exchange stage span names, in pipeline order.
@@ -554,18 +704,6 @@ class BackscatterLink:
         half = max(self.node.transducer.bandwidth_hz, 1_000.0)
         return max(f0 - half, 1.0), min(f0 + half, self.sample_rate / 2.0 - 1.0)
 
-    def _node_incident(self, tx_waveform) -> np.ndarray:
-        """Incident pressure waveform at the node [Pa]."""
-        return (
-            self.beam_gain_node
-            * self.ch_projector_node.apply(tx_waveform, include_noise=False).waveform
-        )
-
-    def _node_selective(self, incident) -> np.ndarray:
-        """Incident waveform as the node's resonant element senses it."""
-        lo, hi = self._node_band()
-        return butter_bandpass(incident, lo, hi, self.sample_rate, order=2)
-
     def _reradiation_response(self, n_samples: int) -> np.ndarray:
         """Memoized re-radiation gain vector for one waveform length.
 
@@ -602,13 +740,6 @@ class BackscatterLink:
             uplink_start + delay_ph + int(0.3 * self.UPLINK_MARGIN_S * fs),
         )
 
-    def _direct_arrival(self, tx) -> np.ndarray:
-        """The projector's own waveform as it reaches the hydrophone [Pa]."""
-        return (
-            self.beam_gain_hydrophone
-            * self.ch_projector_hydrophone.apply(tx, include_noise=False).waveform
-        )
-
     def _reply_gamma(self, chips, bitrate: float, n_samples: int) -> np.ndarray:
         """Per-sample complex reflection gain over a reply window."""
         _gamma_a, _gamma_r, trajectory = self.node.reflection_trajectory(
@@ -641,32 +772,13 @@ class BackscatterLink:
         )
         return reflected
 
-    def _reradiate(self, reflected) -> np.ndarray:
-        """The reflection as it leaves the node.
+    def _carrier_tx(self, query: Query, n_chips: int, bitrate: float):
+        """``(tx, uplink_start)``: the query, then a carrier for ``n_chips`` chips.
 
-        Filtered through the transducer's resonance
-        (:func:`apply_reradiation_filter`), then, for a drifting node,
-        Doppler-dilated (the direct carrier is unaffected).  One-way
-        Doppler is applied here; the downlink leg's shift is
-        second-order for the envelope.
+        The carrier runs the reply's length plus :attr:`UPLINK_MARGIN_S`.
         """
-        reflected = apply_reradiation_filter(
-            reflected,
-            self.node.transducer,
-            self.projector.carrier_hz,
-            self.sample_rate,
-            response=self._reradiation_response(len(reflected)),
-        )
-        if self.node_velocity_mps:
-            from repro.acoustics.doppler import apply_doppler
-
-            moved = apply_doppler(
-                reflected, self.node_velocity_mps, self.sample_rate
-            )
-            if len(moved) < len(reflected):
-                moved = np.pad(moved, (0, len(reflected) - len(moved)))
-            reflected = moved[: len(reflected)]
-        return reflected
+        uplink_s = n_chips / (2.0 * bitrate) + self.UPLINK_MARGIN_S
+        return self.projector.query_then_carrier(query, uplink_s, self.sample_rate)
 
     def _slim_carrier(
         self,
@@ -718,16 +830,14 @@ class BackscatterLink:
         Splitting this out of the uplink memo means a node whose sensor
         reading drifts between rounds only recomputes the cheap
         chip-dependent tail, not the hilbert transform and two channel
-        convolutions.  ``stage(name, **attrs)`` opens each stage's span;
-        ``probes`` receives the ``tx_waveform`` and ``incident_carrier``
-        taps.
+        convolutions.  The transmission is synthesised here and the rest
+        is :func:`_carrier_legs`' one row.  ``stage(name, **attrs)`` opens
+        each stage's span; ``probes`` receives the ``tx_waveform`` and
+        ``incident_carrier`` taps.
         """
         fs = self.sample_rate
-        uplink_s = n_chips / (2.0 * bitrate) + self.UPLINK_MARGIN_S
         with stage("link.pwm_synthesis", segment="query_then_carrier") as sp:
-            tx, uplink_start = self.projector.query_then_carrier(
-                query, uplink_s, fs
-            )
+            tx, uplink_start = self._carrier_tx(query, n_chips, bitrate)
             sp.set(samples=len(tx))
         if probes.wants("link.pwm_synthesis"):
             probes.capture(
@@ -735,23 +845,10 @@ class BackscatterLink:
                 waveform=tx, sample_rate=fs, segment="query_then_carrier",
                 uplink_start=int(uplink_start),
             )
-        with stage(
-            "link.downlink_propagation", segment="carrier", samples=len(tx)
-        ):
-            incident = self._node_incident(tx)
-        if probes.wants("link.downlink_propagation"):
-            probes.capture(
-                "link.downlink_propagation", "incident_carrier",
-                waveform=incident, sample_rate=fs, segment="carrier",
-                band_snr_db=band_snr_db(incident, fs, *self._node_band()),
-            )
-        with stage("link.uplink_propagation", segment="direct", samples=len(tx)):
-            direct = self._direct_arrival(tx)
-        with stage("link.node", phase="backscatter", segment="carrier"):
-            return self._slim_carrier(
-                hilbert(np.asarray(incident, dtype=float)),
-                direct, uplink_start, n_chips, bitrate, mode,
-            )
+        return _carrier_legs(
+            [self], tx[None], [(uplink_start, n_chips, bitrate, mode)],
+            stage, probes,
+        )[0]
 
     @staticmethod
     def _quiet_tail(carrier: CarrierLeg, uplink) -> UplinkLeg:
@@ -777,39 +874,16 @@ class BackscatterLink:
         stage=_untraced,
         probes=_UNPROBED,
     ) -> UplinkLeg:
-        """The chip-dependent tail of the uplink leg.
+        """The chip-dependent tail of the uplink leg: :func:`_uplink_legs`' one row.
 
         Modulates the memoized carrier with this reply's reflection
         trajectory, re-radiates it, propagates it to the hydrophone, and
-        mixes it with the direct carrier.  Every step is elementwise over
-        the whole waveform, so the analysed tail of the quiet mixture is
-        the whole mixture's tail bit for bit.  ``probes`` receives the
+        mixes it with the direct carrier.  ``probes`` receives the
         ``backscatter_reflected`` tap.
         """
-        with stage("link.node", phase="backscatter", chips=len(chips)):
-            reflected = self._reradiate(
-                self._reflected(
-                    carrier.idle, carrier.window, carrier.reply_start,
-                    chips, bitrate,
-                )
-            )
-        if probes.wants("link.node"):
-            probes.capture(
-                "link.node", "backscatter_reflected",
-                waveform=reflected, sample_rate=self.sample_rate,
-                reply_start=int(carrier.reply_start), chips=len(chips),
-            )
-        with stage("link.uplink_propagation", samples=len(reflected)):
-            uplink = self.ch_node_hydrophone.apply(
-                reflected, include_noise=False
-            ).waveform
-            leg = self._quiet_tail(carrier, uplink)
-        if probes.wants("link.uplink_propagation"):
-            leg = leg._replace(
-                direct_rms_pa=_rms(carrier.direct_tail),
-                uplink_rms_pa=_rms(uplink[leg.analysis_start:]),
-            )
-        return leg
+        return _uplink_legs(
+            [self], [carrier], [chips], [bitrate], stage, probes
+        )[0]
 
     def _record_tail(self, leg: UplinkLeg, probes=_UNPROBED) -> np.ndarray:
         """Draw this exchange's noise and record the analysed tail.
@@ -901,7 +975,15 @@ class BackscatterLink:
         probes = self._probes()
         if probes.enabled:
             txn = probes.begin_transaction()
-        with tracer.span("link.transact", destination=int(query.destination)) as root:
+        # A link's own registry also receives the taps the DSP layers
+        # publish through the global one (demodulator, sync, FM0).
+        own = (
+            contextlib.nullcontext() if self.probes is None
+            else use_probes(self.probes)
+        )
+        with own, tracer.span(
+            "link.transact", destination=int(query.destination)
+        ) as root:
             result = self._exchange(query, tracer, probes)
             if probes.enabled and not result.success:
                 from repro.obs.postmortem import DecodePostmortem
@@ -968,17 +1050,15 @@ class BackscatterLink:
         with stage(
             "link.downlink_propagation", segment="query", samples=len(query_wave)
         ):
-            incident = self._node_incident(query_wave)
+            incident = _incident([self], query_wave[None])
         if probes.wants("link.downlink_propagation"):
             probes.capture(
                 "link.downlink_propagation", "incident_query",
-                waveform=incident, sample_rate=fs, segment="query",
-                band_snr_db=band_snr_db(incident, fs, *self._node_band()),
+                waveform=incident[0], sample_rate=fs, segment="query",
+                band_snr_db=band_snr_db(incident[0], fs, *self._node_band()),
             )
         with stage("link.node", phase="decode_query") as sp:
-            env = envelope_detect(
-                self._node_selective(incident), self.projector.carrier_hz, fs
-            )
+            env = _envelope([self], incident)[0]
             decoded = self.node.receive_query(env, fs)
             sp.set(decoded=decoded is not None)
         if probes.wants("link.node"):
@@ -1210,7 +1290,7 @@ class BackscatterLink:
             carrier_only_s + switching_s, fs
         )
         tx = np.concatenate([np.zeros(n_sil), carrier])
-        incident = self._node_incident(tx)
+        incident = _incident([self], tx[None])[0]
         # Build the switching chip train (one chip per half switching period).
         n_toggles = int(switching_s * switch_rate_hz * 2.0)
         chips = np.arange(n_toggles) % 2
@@ -1226,7 +1306,7 @@ class BackscatterLink:
                 break
             gamma_t[a : min(b, len(incident))] = g
         reflected = np.real(gamma_t * hilbert(incident))
-        direct = self._direct_arrival(tx)
+        direct = _direct([self], tx[None])[0]
         uplink = self.ch_node_hydrophone.apply(reflected, include_noise=False).waveform
         n = max(len(direct), len(uplink))
         mixture = np.zeros(n)

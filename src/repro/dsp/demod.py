@@ -29,7 +29,12 @@ from repro.dsp.fm0 import (
 )
 from repro.dsp.filters import butter_lowpass
 from repro.dsp.packets import DEFAULT_FORMAT, FramingError, Packet, PacketFormat
-from repro.dsp.sync import PacketDetection, correct_cfo, estimate_cfo
+from repro.dsp.sync import (
+    PacketDetection,
+    batched_preamble_correlation,
+    correct_cfo,
+    estimate_cfo,
+)
 from repro.dsp.waveforms import downconvert
 from repro.perf.cache import get_cache
 
@@ -51,7 +56,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 from repro.obs.probe import get_probes
-from repro.perf.kernels import smart_convolve
+from repro.perf.kernels import smart_convolve, stack_rows
 
 
 @dataclass
@@ -133,16 +138,23 @@ class BackscatterDemodulator:
 
     # -- stages -------------------------------------------------------------------
 
-    def to_baseband(self, waveform) -> np.ndarray:
-        """Downconvert + channel filter + CFO correction."""
+    def _channel_baseband(self, waveforms) -> np.ndarray:
+        """Downconvert + channel low-pass, of one recording or row-wise of a stack."""
         cutoff = min(max(2.5 * self.chip_rate, 200.0), self.sample_rate / 2.5)
-        baseband = butter_lowpass(
-            downconvert(waveform, self.carrier_hz, self.sample_rate),
+        return butter_lowpass(
+            downconvert(waveforms, self.carrier_hz, self.sample_rate),
             cutoff,
             self.sample_rate,
         )
+
+    def _derotated(self, baseband) -> tuple[np.ndarray, float]:
+        """CFO estimate and correction of one channel-filtered baseband."""
         cfo = estimate_cfo(baseband, self.sample_rate)
         return correct_cfo(baseband, cfo, self.sample_rate), cfo
+
+    def to_baseband(self, waveform) -> tuple[np.ndarray, float]:
+        """Downconvert + channel filter + CFO correction."""
+        return self._derotated(self._channel_baseband(waveform))
 
     def extract_modulation(self, baseband, *, track_phase: bool = True) -> np.ndarray:
         """Remove the carrier component and project onto the modulation axis.
@@ -279,10 +291,54 @@ class BackscatterDemodulator:
         first CRC-clean decode; failing that, the best-effort result of
         the strongest candidate.
         """
-        baseband, cfo = self.to_baseband(waveform)
-        return self.demodulate_from_baseband(
-            baseband, cfo, max_candidates=max_candidates
-        )
+        result = self.demodulate_rows(
+            np.asarray(waveform, dtype=float)[None],
+            max_candidates=max_candidates,
+        )[0]
+        if isinstance(result, ValueError):
+            raise result
+        return result
+
+    def demodulate_rows(self, waveforms, *, max_candidates: int = 5) -> list:
+        """:meth:`demodulate` over an (N, samples) stack of recordings.
+
+        Downconversion, the channel low-pass and the preamble correlation
+        run once over the stack; the CFO estimate and correction, the
+        modulation axis and the decode tail run per row.  Entry i is
+        ``demodulate(waveforms[i])`` bit for bit, or the ``ValueError``
+        that call raises when row i is too short for the CFO estimate.
+        """
+        results: list = []
+        decodable = []  # (index, baseband, cfo, modulation)
+        for row in self._channel_baseband(waveforms):
+            try:
+                baseband, cfo = self._derotated(row)
+            except ValueError as exc:
+                results.append(exc)
+                continue
+            decodable.append(
+                (len(results), baseband, cfo, self.extract_modulation(baseband))
+            )
+            results.append(None)
+        corrs = [None] * len(decodable)
+        if decodable:
+            try:
+                corrs = batched_preamble_correlation(
+                    stack_rows([modulation for *_, modulation in decodable]),
+                    self.packet_format.preamble,
+                    self.chip_rate,
+                    self.sample_rate,
+                )
+            except ValueError:
+                # Rows shorter than the preamble: each row's tail
+                # reports the failed detection.
+                pass
+        for (i, baseband, cfo, modulation), corr in zip(decodable, corrs):
+            results[i] = self.demodulate_from_baseband(
+                baseband, cfo, max_candidates=max_candidates,
+                corr=corr, modulation=modulation,
+            )
+        return results
 
     def demodulate_from_baseband(
         self,
@@ -295,14 +351,10 @@ class BackscatterDemodulator:
     ) -> DemodResult:
         """Decode from an already CFO-corrected complex baseband.
 
-        The second half of :meth:`demodulate`.  The batched engine runs
-        the downconvert/filter front-end for a whole fleet as one
-        (N, samples) matrix pass, then finishes each row here;
-        ``corr`` optionally supplies the row's precomputed preamble
-        correlation (from the batched sync pass) and ``modulation`` the
-        row's already-extracted modulation envelope, so the per-row
-        tail skips those recomputations.  Output is bit-identical to
-        :meth:`demodulate` on the same recording.
+        The per-row tail of :meth:`demodulate_rows`, which passes each
+        row's preamble correlation from its stacked sync pass as
+        ``corr`` and the row's modulation envelope as ``modulation``;
+        either is computed here when omitted.
         """
         empty = np.zeros(0)
         if modulation is None:

@@ -1,12 +1,10 @@
-"""Batched PHY engine: one matrix pass per channel stage for a fleet window.
+"""Batched PHY engine: one stacked stage call per group of a fleet window.
 
-The committed 10-node profile pins ``link.node`` at ~0.50 of an uncached
-transaction with CPU/wall ~0.99 — pure GIL-bound compute, which
-threads cannot overlap.  This module takes the other road ROADMAP open
-item 1 calls for: instead of running N exchanges concurrently, it runs
-the fleet's waveform work as stacked (N, samples) ndarray passes, then
-lets the ordinary sequential rounds *replay* those results through the
-leg memo, byte-for-byte.
+The sequential loop runs a fleet's exchanges one at a time.  This module
+runs their waveform work ahead of the live rounds instead: it predicts a
+window of exchanges, runs each link stage once per group of equal-shape
+rows as an (N, samples) stack, then lets the ordinary sequential rounds
+*replay* those results through the leg memo, byte-for-byte.
 
 Architecture — a predictive prepass, not a parallel executor
 ------------------------------------------------------------
@@ -30,24 +28,25 @@ sequential loop.  Once every ``window`` rounds it plans the coming
   have different lengths (different propagation delays), but the same
   node's segments across rounds are identical, so every batched stage
   below sees groups of ``window`` rows or more.
-* **Batch** (phase B): compute every missing leg as grouped matrix
-  kernels — stacked downlink envelopes through one band-pass/low-pass
-  ``sosfiltfilt`` per group, one ``fftconvolve`` over an (N, samples)
-  matrix per channel stage, one batched rfft/irfft for the re-radiation
-  filters — and seed the per-link leg memos with the results (an
-  envelope only feeds the query decode its dry run resumes with; the
-  memo keeps the decode).  Every
-  batched primitive is bit-identical to its per-row form (asserted in
-  ``tests/perf/test_batch.py``), so a seeded memo entry is
-  indistinguishable from one the sequential path would have computed.
+* **Batch** (phase B): compute every missing leg with the link's own
+  stacked stages (:mod:`repro.core.link`) — downlink envelopes
+  (``_incident``, then ``_envelope``), carrier legs (``_carrier_legs``)
+  and uplink tails (``_uplink_legs``, drifting nodes included) — one
+  call per group of rows that share the shapes a stack needs, and seed
+  the per-link leg memos with the results (an envelope only feeds the
+  query decode its dry run resumes with; the memo keeps the decode).
+  A live exchange makes the same calls with one row, so a seeded memo
+  entry is the one the sequential path would have computed, by
+  construction.
 * **Demodulate** (phase B2): with the quiet mixtures known, draw each
   link's ambient noise from its own seeded stream — one segment per
   planned exchange, in round order, restoring the RNG afterwards so the
-  live rounds still observe the exact same stream positions — run the
-  fleet-wide demod front-end as batched downconvert + filter passes
-  plus fleet-wide FM0 preamble correlations, finish each row's
-  data-dependent decode tail, and stash the result as a *hint* keyed
-  ``(uplink key, noise RNG token)`` on the link.
+  live rounds still observe the exact same stream positions — decode
+  each group of equal-length segments in one
+  ``BackscatterDemodulator.demodulate_rows`` call (stacked front end
+  and preamble correlation, per-row decode tail), and stash each
+  result as a *hint* keyed ``(uplink key, noise RNG token)`` on the
+  link.
 * **Over-provision for retries**: a retransmission rebuilds the node's
   reply and draws the next noise segment, so it consumes the *next*
   planned exchange's hint — reading stream and noise stream shift in
@@ -70,20 +69,17 @@ costs speed, never bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.fft
-from scipy.signal import fftconvolve, hilbert
 
 from repro.core.link import BackscatterLink, CarrierLeg, NodeReply, UplinkLeg
-from repro.dsp.filters import butter_bandpass, butter_lowpass, envelope_detect
-from repro.dsp.sync import batched_preamble_correlation, correct_cfo, estimate_cfo
-from repro.dsp.waveforms import downconvert
+from repro.core.link import _carrier_legs, _envelope, _incident, _uplink_legs
 from repro.net.health import HealthState
 from repro.net.messages import Command, Query
 from repro.obs.trace import Tracer, get_tracer, use_tracer
 from repro.perf.cache import cache_enabled
+from repro.perf.kernels import stack_rows
 
 #: The tracer the dry run runs under: it replays node firmware that a
 #: trace must not show as extra exchanges.
@@ -151,9 +147,7 @@ class _NodePlan:
 class _DemodRow:
     """One noise draw + recording headed for the batched demodulator.
 
-    ``token``/``after`` bracket the noise stream position the row
-    mirrors; ``demod`` is filled in by :meth:`_demod_rows` (``None``
-    until then, and left ``None`` when the front-end refuses the row).
+    ``token``/``after`` bracket the noise stream position it mirrors.
     """
 
     plan: _NodePlan
@@ -161,7 +155,6 @@ class _DemodRow:
     seg: np.ndarray
     token: object
     after: dict
-    demod: object = None
 
 
 @dataclass
@@ -198,26 +191,13 @@ class BatchStats:
     env_batched: int = 0
     carriers_batched: int = 0
     tails_batched: int = 0
-    tails_inline: int = 0
     demods_precomputed: int = 0
     demods_carried: int = 0
     retries_planned: int = 0
     groups: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "windows": self.windows,
-            "rounds": self.rounds,
-            "planned": self.planned,
-            "env_batched": self.env_batched,
-            "carriers_batched": self.carriers_batched,
-            "tails_batched": self.tails_batched,
-            "tails_inline": self.tails_inline,
-            "demods_precomputed": self.demods_precomputed,
-            "demods_carried": self.demods_carried,
-            "retries_planned": self.retries_planned,
-            "groups": dict(self.groups),
-        }
+        return asdict(self)
 
 
 def _grouped(items, key):
@@ -244,7 +224,7 @@ class BatchedLinkEngine:
     #: campaign diverges (faults, retries, reconfigurations) mid-window.
     window: int = 8
 
-    #: First-window surplus exchanges per node (see ``_retry_surplus``).
+    #: First-window surplus exchanges per node (see ``_adapt_surplus``).
     initial_surplus: int = 2
     #: Upper bound on the per-node adaptive surplus.
     max_surplus: int = 12
@@ -387,10 +367,7 @@ class BatchedLinkEngine:
                 continue
             record = reader.nodes[addr]
             health = record.health
-            if (
-                record.pending_downgrade
-                and health.state is HealthState.DEGRADED
-            ):
+            if record.pending_downgrade and health.state is HealthState.DEGRADED:
                 continue
             link = links.get(addr)
             if link is None or not plannable(link):
@@ -403,14 +380,8 @@ class BatchedLinkEngine:
                     for k in range(window)
                 ]
             else:
-                # Over-provision for retries: a retransmission rebuilds
-                # the node's reply and draws the next noise segment, so
-                # it consumes the *next* planned exchange's hint — the
-                # whole window shifts left and the shortfall surfaces
-                # as uncovered exchanges at the end.  Planning a few
-                # exchanges past the window keeps a retrying node's
-                # tail covered; the surplus is resized per node from
-                # the leftovers the last window did not consume.
+                # Over-provision for retries (see the module docstring);
+                # _adapt_surplus resizes the surplus per node.
                 surplus = self._surplus.get(addr, self.initial_surplus)
                 queries = [
                     Query(destination=addr, command=command)
@@ -500,184 +471,97 @@ class BatchedLinkEngine:
 
     # -- phase B: batched legs ------------------------------------------------------
 
-    def _batch_downlink_envelopes(self, pending: list) -> None:
-        """Stacked envelope detection for every paused query decode.
+    def _groups(self, stage: str, items, key) -> list:
+        """``items`` grouped by ``key`` (first-seen order), counted under ``stage``."""
+        groups = _grouped(items, key)
+        self.stats.groups[stage] = self.stats.groups.get(stage, 0) + len(groups)
+        return list(groups.values())
 
-        Per group of equal-shape rows this is one (N, samples) channel
-        convolution, one band-pass, one rectify + low-pass — each
-        bit-identical to the sequential per-row computation (the
-        convolution is the very ``fftconvolve`` the channel applies,
-        handed the stacked matrix with ``axes=-1``).  Each envelope goes
-        to its window, whose resumed dry run decodes it.
+    def _batch_downlink_envelopes(self, pending: list) -> None:
+        """Stacked envelopes (``_incident``, ``_envelope``) for the paused decodes.
+
+        A paused node still holds the state its decode waits in, so its
+        receive band is the one the live decode filters with.  Each
+        envelope goes to its window, whose resumed dry run decodes it.
         """
-        rows = []
-        for w in pending:
-            link = w.link
-            qw = link.projector.query_waveform(w.env_query, link.sample_rate)
-            ir = link.ch_projector_node._impulse
-            rows.append((w, qw, ir))
-        # Each paused node still holds the state its decode waits in, so
-        # its receive band is the one the live decode will filter with.
-        groups = _grouped(
-            rows,
+        rows = [
+            (w, w.link.projector.query_waveform(w.env_query, w.link.sample_rate))
+            for w in pending
+        ]
+        for group in self._groups(
+            "downlink_env", rows,
             lambda r: (
-                len(r[1]), len(r[2]), r[0].link._node_band(),
-                r[0].link.projector.carrier_hz, r[0].link.sample_rate,
+                len(r[1]), len(r[0].link.ch_projector_node._impulse),
+                r[0].link._node_band(), r[0].link.projector.carrier_hz,
+                r[0].link.sample_rate,
             ),
-        )
-        self.stats.groups["downlink_env"] = (
-            self.stats.groups.get("downlink_env", 0) + len(groups)
-        )
-        for (n, m, (lo, hi), f, fs), group in groups.items():
-            tx = np.stack([qw for _w, qw, _ir in group])
-            irs = np.stack([ir for _w, _qw, ir in group])
-            gains = np.array(
-                [w.link.beam_gain_node for w, _qw, _ir in group]
-            )
-            incident = gains[:, None] * fftconvolve(tx, irs, axes=-1)
-            selective = butter_bandpass(incident, lo, hi, fs, order=2)
-            envs = envelope_detect(selective, f, fs)
-            for (w, _qw, _ir), env in zip(group, envs):
+        ):
+            links = [w.link for w, _qw in group]
+            tx = stack_rows([qw for _w, qw in group])
+            for (w, _qw), env in zip(group, _envelope(links, _incident(links, tx))):
                 w.env = env
-                self.stats.env_batched += 1
+            self.stats.env_batched += len(group)
 
     def _batch_carrier_legs(self, plans: list) -> None:
-        """Batched transmit-side legs: incident and direct channel stages.
-
-        The projector waveform and the analytic (Hilbert) transform stay
-        per-row — the hilbert transform gains nothing from stacking on
-        one core — but both propagation convolutions run as one
-        (N, samples) ``fftconvolve`` per equal-shape group, exactly as
-        :meth:`BackscatterLink._carrier_leg` computes them row by row.
-        """
-        if not plans:
-            return
-        rows = []
-        for plan in plans:
-            link, reply = plan.link, plan.reply
-            chip_rate = 2.0 * reply.bitrate
-            uplink_s = len(reply.chips) / chip_rate + link.UPLINK_MARGIN_S
-            tx, uplink_start = link.projector.query_then_carrier(
-                reply.query, uplink_s, link.sample_rate
-            )
-            rows.append((plan, tx, uplink_start))
-        groups = _grouped(
-            rows,
+        """Stacked carrier legs (``_carrier_legs``) for the plans missing one."""
+        rows = [
+            (p, *p.link._carrier_tx(p.reply.query, len(p.reply.chips), p.reply.bitrate))
+            for p in plans
+        ]
+        for group in self._groups(
+            "carrier", rows,
             lambda r: (
-                len(r[1]),
-                len(r[0].link.ch_projector_node._impulse),
+                len(r[1]), len(r[0].link.ch_projector_node._impulse),
                 len(r[0].link.ch_projector_hydrophone._impulse),
             ),
-        )
-        self.stats.groups["carrier"] = (
-            self.stats.groups.get("carrier", 0) + len(groups)
-        )
-        for group in groups.values():
-            tx_stack = np.stack([tx for _plan, tx, _s in group])
-            ir_pn = np.stack(
-                [p.link.ch_projector_node._impulse for p, _tx, _s in group]
-            )
-            ir_ph = np.stack(
+        ):
+            legs = _carrier_legs(
+                [p.link for p, _tx, _start in group],
+                stack_rows([tx for _p, tx, _start in group]),
                 [
-                    p.link.ch_projector_hydrophone._impulse
-                    for p, _tx, _s in group
-                ]
+                    (start, len(p.reply.chips), p.reply.bitrate, p.reply.mode)
+                    for p, _tx, start in group
+                ],
             )
-            g_node = np.array(
-                [p.link.beam_gain_node for p, _tx, _s in group]
-            )
-            g_hyd = np.array(
-                [p.link.beam_gain_hydrophone for p, _tx, _s in group]
-            )
-            incidents = g_node[:, None] * fftconvolve(tx_stack, ir_pn, axes=-1)
-            directs = g_hyd[:, None] * fftconvolve(tx_stack, ir_ph, axes=-1)
-            for (plan, _tx, uplink_start), incident, direct in zip(
-                group, incidents, directs
-            ):
-                reply = plan.reply
-                plan.link._leg_memo.put(
-                    reply.carrier_key,
-                    plan.link._slim_carrier(
-                        hilbert(np.asarray(incident, dtype=float)), direct,
-                        uplink_start, len(reply.chips), reply.bitrate,
-                        reply.mode,
-                    ),
-                )
-                self.stats.carriers_batched += 1
+            for (plan, _tx, _start), leg in zip(group, legs):
+                plan.link._leg_memo.put(plan.reply.carrier_key, leg)
+            self.stats.carriers_batched += len(group)
 
     def _batch_uplink_tails(self, plans: list) -> None:
-        """Chip-dependent tails: batched re-radiation + uplink channel.
+        """Stacked uplink tails (``_uplink_legs``) for the plans missing one.
 
-        The re-radiation filter is the tail's dominant cost — its
-        length is typically a *prime* sample count, so pocketfft runs a
-        Bluestein transform an order of magnitude slower than a
-        composite length — and the batching sweet spot: one stacked
-        rfft, a per-row response multiply, one stacked irfft per
-        equal-length group.  Rows of a drifting (Doppler) link fall
-        back to the link's own per-row tail, and every plan ends
-        holding its quiet mixture for the demod prepass.
+        A drifting node's rows join the stack like any other: the stage
+        dilates them per row.  Every plan ends holding its quiet mixture
+        for the demod prepass.
         """
-        tails, seen_inline = [], []
+        missing, rest = [], []
         for plan in plans:
             link, reply = plan.link, plan.reply
-            memo = link._leg_memo
-            plan.leg = memo.get_or_compute(
+            plan.leg = link._leg_memo.get_or_compute(
                 reply.carrier_key,
-                lambda reply=reply: link._carrier_leg(
+                lambda: link._carrier_leg(
                     reply.query, len(reply.chips), reply.bitrate, reply.mode
                 ),
             )
-            if not plan.uplink_missing:
-                # Already memoized, or queued behind an identical plan
-                # earlier in the window: resolved after the batch below.
-                seen_inline.append(plan)
-            elif link.node_velocity_mps:
-                plan.uplink = memo.get_or_compute(
-                    reply.uplink_key,
-                    lambda plan=plan: plan.link._uplink_leg(
-                        plan.leg, plan.reply.chips, plan.reply.bitrate
-                    ),
-                )
-                self.stats.tails_inline += 1
-            else:
-                tails.append(plan)
-        if tails:
-            groups = _grouped(
-                tails,
-                lambda p: (
-                    len(p.leg.idle), len(p.link.ch_node_hydrophone._impulse)
-                ),
+            # Already memoized, or queued behind an identical plan
+            # earlier in the window: resolved after the batch below.
+            (missing if plan.uplink_missing else rest).append(plan)
+        for group in self._groups(
+            "uplink_tail", missing,
+            lambda p: (len(p.leg.idle), len(p.link.ch_node_hydrophone._impulse)),
+        ):
+            legs = _uplink_legs(
+                [p.link for p in group], [p.leg for p in group],
+                [p.reply.chips for p in group], [p.reply.bitrate for p in group],
             )
-            self.stats.groups["uplink_tail"] = (
-                self.stats.groups.get("uplink_tail", 0) + len(groups)
-            )
-            for (n, _m), group in groups.items():
-                reflected = np.stack(
-                    [
-                        p.link._reflected(
-                            p.leg.idle, p.leg.window, p.leg.reply_start,
-                            p.reply.chips, p.reply.bitrate,
-                        )
-                        for p in group
-                    ]
-                )
-                responses = np.stack(
-                    [p.link._reradiation_response(n) for p in group]
-                )
-                spectra = scipy.fft.rfft(reflected, axis=-1)
-                filtered = scipy.fft.irfft(spectra * responses, n=n, axis=-1)
-                ir_nh = np.stack(
-                    [p.link.ch_node_hydrophone._impulse for p in group]
-                )
-                uplinks = fftconvolve(filtered, ir_nh, axes=-1)
-                for plan, uplink in zip(group, uplinks):
-                    plan.uplink = plan.link._quiet_tail(plan.leg, uplink)
-                    plan.link._leg_memo.put(plan.reply.uplink_key, plan.uplink)
-                    self.stats.tails_batched += 1
-        for plan in seen_inline:
+            for plan, leg in zip(group, legs):
+                plan.uplink = leg
+                plan.link._leg_memo.put(plan.reply.uplink_key, leg)
+            self.stats.tails_batched += len(group)
+        for plan in rest:
             plan.uplink = plan.link._leg_memo.get_or_compute(
                 plan.reply.uplink_key,
-                lambda plan=plan: plan.link._uplink_leg(
+                lambda: plan.link._uplink_leg(
                     plan.leg, plan.reply.chips, plan.reply.bitrate
                 ),
             )
@@ -691,12 +575,9 @@ class BatchedLinkEngine:
         one segment per planned exchange *in round order* (the stream is
         snapshotted before the first draw and restored after the last,
         so the live rounds see an untouched stream that will replay the
-        very same positions).  The rows then run through
-        :meth:`_demod_rows` — the batched demod front-end plus the
-        per-row decode tail.  Surplus rows (round offsets past the live
-        window) cover the retransmissions the MAC is predicted to
-        issue; per-node leftovers recorded here feed the surplus
-        controller at the next replan.
+        very same positions); :meth:`_demod_rows` decodes the segments.
+        Per-node row counts recorded here feed :meth:`_adapt_surplus` at
+        the next replan.
         """
         rows: list[_DemodRow] = []
         by_link = _grouped(plans, lambda p: id(p.link))
@@ -750,85 +631,23 @@ class BatchedLinkEngine:
         self._demod_rows(rows)
 
     def _demod_rows(self, rows: list) -> None:
-        """Demodulate a batch of rows and stash the results as hints.
+        """One ``demodulate_rows`` call per group; stash the decodes as hints.
 
-        The demod front-end runs as one batched downconvert + low-pass
-        per group — window planning guarantees each node contributes
-        one equal-length row per round, so groups are ``window`` rows
-        or more — the preamble search as one fleet-wide FM0 matrix
-        correlation, and the data-dependent decode tail per row.
-        Results are stashed as hints keyed ``(uplink key, noise
-        token)``; the live exchange consumes a hint only when both
-        match, and then advances its RNG to exactly where drawing the
-        noise would have left it.
+        Window planning gives each node one equal-length row per round,
+        so a group (one segment length and demodulator) holds ``window``
+        rows or more.  Hints are keyed ``(uplink key, noise token)``.
         """
-        groups = _grouped(
-            rows,
-            lambda r: (
-                len(r.seg), r.dem.carrier_hz, r.dem.bitrate,
-                r.dem.sample_rate, r.dem.packet_format,
-                r.dem.detection_threshold,
-            ),
-        )
-        self.stats.groups["demod"] = (
-            self.stats.groups.get("demod", 0) + len(groups)
-        )
-        for group in groups.values():
-            dem = group[0].dem
-            fs = dem.sample_rate
-            segs = np.stack([row.seg for row in group])
-            cutoff = min(
-                max(2.5 * dem.chip_rate, 200.0), fs / 2.5
+        for group in self._groups("demod", rows, lambda r: (len(r.seg), r.dem)):
+            demods = group[0].dem.demodulate_rows(
+                stack_rows([row.seg for row in group])
             )
-            raw = butter_lowpass(
-                downconvert(segs, dem.carrier_hz, fs), cutoff, fs
-            )
-            basebands = []
-            modulations = []
-            for row in raw:
-                try:
-                    cfo = estimate_cfo(row, fs)
-                except ValueError:
-                    # Sequential would raise here too — but only if the
-                    # live exchange actually reaches the demod (a fault
-                    # injector may fabricate first).  Leave the row to
-                    # the live path rather than pre-raising.
-                    basebands.append(None)
-                    modulations.append(None)
+            for row, demod in zip(group, demods):
+                if isinstance(demod, ValueError):
+                    # The live exchange raises this itself, if it reaches
+                    # the demodulator (a fault injector may fabricate
+                    # first), so no hint pre-empts it.
                     continue
-                baseband = correct_cfo(row, cfo, fs)
-                basebands.append((baseband, cfo))
-                modulations.append(dem.extract_modulation(baseband))
-            good = [m for m in modulations if m is not None]
-            corrs = iter(())
-            if good:
-                try:
-                    corrs = iter(
-                        batched_preamble_correlation(
-                            np.stack(good),
-                            dem.packet_format.preamble,
-                            dem.chip_rate,
-                            fs,
-                        )
-                    )
-                except ValueError:
-                    # Rows shorter than the preamble template: the
-                    # per-row tail reports that exactly as sequential.
-                    corrs = iter([None] * len(good))
-            for row, bb, mod in zip(group, basebands, modulations):
-                if bb is None:
-                    continue
-                baseband, cfo = bb
-                demod = row.dem.demodulate_from_baseband(
-                    baseband,
-                    cfo,
-                    max_candidates=5,
-                    corr=next(corrs),
-                    modulation=mod,
-                )
-                row.demod = demod
                 row.plan.link._batch_hints[
                     (row.plan.reply.uplink_key, row.token)
                 ] = (row.after, demod)
                 self.stats.demods_precomputed += 1
-

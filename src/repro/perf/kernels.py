@@ -70,6 +70,17 @@ def smart_correlate(x, template, mode: str = "valid") -> np.ndarray:
     return smart_convolve(x, np.conj(template[::-1]), mode=mode)
 
 
+def stack_rows(rows) -> np.ndarray:
+    """``np.stack(rows)``, or a copy-free ``(1, samples)`` view of one row.
+
+    The stacked stages take one row per link; a live exchange is the
+    one-row call, which must not pay for copying its waveform.
+    """
+    if len(rows) == 1:
+        return np.asarray(rows[0])[None]
+    return np.stack(rows)
+
+
 def batched_convolve(xs, kernel, mode: str = "full") -> np.ndarray:
     """Row-wise :func:`smart_convolve` over an (N, samples) stack.
 

@@ -173,6 +173,51 @@ class TestFromLink(_FailingLinkRuns):
         assert root.attrs["failing_stage"] == "link.hydrophone_dsp"
 
 
+class TestLinkOwnRegistry:
+    """A link's own registry sees what the global registry would."""
+
+    @staticmethod
+    def run(own: bool):
+        """Bench-fleet node 24 (seed 2019), whose READ_PH fails its CRC."""
+        from repro.acoustics import POOL_A, Position
+        from repro.acoustics.noise import AmbientNoiseModel
+        from repro.core import BackscatterLink, Projector
+        from repro.net.messages import Command, Query
+        from repro.node.node import PABNode
+        from repro.piezo import Transducer
+
+        transducer = Transducer.from_cylinder_design()
+        f = transducer.resonance_hz
+        probes = ProbeRegistry()
+        link = BackscatterLink(
+            POOL_A,
+            Projector(transducer=transducer, drive_voltage_v=60.0, carrier_hz=f),
+            Position(0.5, 1.5, 0.6),
+            PABNode(address=0x28, channel_frequencies_hz=(f,), bitrate=2_000.0),
+            Position(0.8 + 0.04 * 24, 1.5, 0.6),
+            Position(1.0, 0.8, 0.6),
+            noise=AmbientNoiseModel(
+                spectrum="flat", flat_level_db=35.0, seed=1000 * 2019 + 0x28
+            ),
+            probes=probes if own else None,
+        )
+        query = Query(destination=0x28, command=Command.READ_PH)
+        if own:
+            return probes, link.run_query(query)
+        with use_probes(probes):
+            return probes, link.run_query(query)
+
+    def test_same_taps_and_verdict_as_the_global_registry(self):
+        own_probes, own = self.run(own=True)
+        global_probes, shared = self.run(own=False)
+        assert not shared.success
+        stages = {t.stage for t in global_probes.taps}
+        assert {"hydrophone.demodulate", "sync.detect_packet"} <= stages
+        assert {t.stage for t in own_probes.taps} == stages
+        assert "sigma" in shared.postmortem.verdict
+        assert own.postmortem.verdict == shared.postmortem.verdict
+
+
 class TestFromLinkShapes:
     """Classification paths exercised with synthetic results/taps."""
 

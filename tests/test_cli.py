@@ -565,3 +565,45 @@ class TestAnomalyCli:
         capsys.readouterr()
         assert main(["diff", str(clean), str(stream), "--gate"]) == 0
         assert "gate: clean" in capsys.readouterr().out
+
+
+class TestBenchInjectTargets:
+    """``repro bench --inject`` slows entry points the exchange really calls."""
+
+    def test_every_target_runs_in_one_uncached_exchange(self, monkeypatch):
+        import importlib
+        from collections import Counter
+
+        from repro.cli import _INJECT_TARGETS, _build_bench_fleet
+        from repro.net.messages import Command, Query
+        from repro.perf import caching_disabled
+
+        calls = Counter()
+        for mod_name, cls_name, attr in set(_INJECT_TARGETS.values()):
+            cls = getattr(importlib.import_module(mod_name), cls_name)
+            call = getattr(cls, attr)
+
+            def spy(*args, _key=(cls_name, attr), _call=call, **kwargs):
+                calls[_key] += 1
+                return _call(*args, **kwargs)
+
+            if isinstance(vars(cls)[attr], staticmethod):
+                spy = staticmethod(spy)
+            monkeypatch.setattr(cls, attr, spy)
+        (addr, transact), = _build_bench_fleet(1, 2019, 2_000.0).items()
+        with caching_disabled():
+            transact(Query(destination=addr, command=Command.READ_PH))
+        for stage, (_mod, cls_name, attr) in _INJECT_TARGETS.items():
+            assert calls[(cls_name, attr)] >= 1, stage
+
+    def test_injection_restores_a_static_entry_point(self):
+        from repro.acoustics.channel import AcousticChannel
+        from repro.cli import _apply_injection
+
+        original = vars(AcousticChannel)["propagate"]
+        cls, attr, saved = _apply_injection("link.uplink_propagation:0")
+        try:
+            assert isinstance(vars(AcousticChannel)["propagate"], staticmethod)
+        finally:
+            setattr(cls, attr, saved)
+        assert vars(AcousticChannel)["propagate"] is original
