@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import TWO_PI
+from repro.perf.cache import get_cache
 
 
 def tone(
@@ -86,11 +87,20 @@ def downconvert(
     Accepts a 1-D waveform or an (N, samples) stack mixed along the last
     axis; the complex oscillator is computed once and broadcast across
     rows, so batched mixing is bit-identical to row-at-a-time mixing.
+    The oscillator is a pure function of (length, carrier, rate), so it
+    comes read-only from the ``oscillators`` cache: a receiver mixes
+    every recording of one link at the same length.
     """
     x = np.asarray(waveform, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("waveform must be 1-D or an (N, samples) stack")
     if carrier_hz <= 0 or sample_rate <= 0:
         raise ValueError("carrier and sample rate must be positive")
-    n = np.arange(x.shape[-1])
-    return 2.0 * x * np.exp(-1j * TWO_PI * carrier_hz * n / sample_rate)
+    n_samples = x.shape[-1]
+    oscillator = get_cache("oscillators").get_or_compute(
+        (n_samples, float(carrier_hz), float(sample_rate)),
+        lambda: np.exp(
+            -1j * TWO_PI * carrier_hz * np.arange(n_samples) / sample_rate
+        ),
+    )
+    return 2.0 * x * oscillator

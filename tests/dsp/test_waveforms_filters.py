@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dsp import (
     amplitude_modulated_carrier,
@@ -159,3 +161,72 @@ class TestMatchedFilterChip:
     def test_validation(self):
         with pytest.raises(ValueError):
             matched_filter_chip(np.ones(10), 0)
+
+
+class TestFrontEndIdentity:
+    """The receiver front end is bit-identical to its plain scipy form.
+
+    A complex input is filtered as one stacked ``sosfiltfilt`` call, and
+    ``downconvert`` takes its oscillator from a cache; both must equal
+    two separate ``sosfiltfilt`` calls and the inline oscillator.
+    """
+
+    @staticmethod
+    def _inputs(seed, rows, length, complex_):
+        rng = np.random.default_rng(seed)
+        shape = (length,) if rows == 0 else (rows, length)
+        x = rng.normal(size=shape)
+        if complex_:
+            x = x + 1j * rng.normal(size=shape)
+        return x
+
+    @staticmethod
+    def _reference(sos, x):
+        from scipy import signal
+
+        if np.iscomplexobj(x):
+            return (
+                signal.sosfiltfilt(sos, x.real, axis=-1)
+                + 1j * signal.sosfiltfilt(sos, x.imag, axis=-1)
+            )
+        return signal.sosfiltfilt(sos, x, axis=-1)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 3),
+        length=st.integers(64, 2_000),
+        complex_=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_filters_equal_separate_sosfiltfilt_calls(
+        self, seed, rows, length, complex_
+    ):
+        from scipy import signal
+
+        x = self._inputs(seed, rows, length, complex_)
+        low = signal.butter(4, 4_000.0, btype="low", fs=FS, output="sos")
+        band = signal.butter(
+            2, [12_000.0, 18_000.0], btype="band", fs=FS, output="sos"
+        )
+        got = butter_lowpass(x, 4_000.0, FS)
+        assert got.tobytes() == self._reference(low, x).tobytes()
+        got = butter_bandpass(x, 12_000.0, 18_000.0, FS, order=2)
+        assert got.tobytes() == self._reference(band, x).tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 3),
+        length=st.integers(1, 2_000),
+        carrier=st.floats(1_000.0, 40_000.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_downconvert_equals_the_inline_oscillator(
+        self, seed, rows, length, carrier
+    ):
+        from repro.constants import TWO_PI
+
+        x = self._inputs(seed, rows, length, False)
+        n = np.arange(length)
+        inline = 2.0 * x * np.exp(-1j * TWO_PI * carrier * n / FS)
+        for _ in range(2):  # a cache miss, then a hit
+            assert downconvert(x, carrier, FS).tobytes() == inline.tobytes()
