@@ -9,7 +9,9 @@ so links can be simulated with moving nodes:
 * :func:`doppler_factor` — the time-compression factor ``1 + v/c``,
 * :func:`apply_doppler` — wideband resampling of a waveform (acoustic
   Doppler is *not* a pure frequency shift at these fractional
-  bandwidths; the whole waveform dilates).
+  bandwidths; the whole waveform dilates),
+* :func:`apply_doppler_at` — the same dilation of one segment of a
+  longer waveform, kept in that waveform's sample frame.
 
 Sign convention: positive ``radial_velocity_mps`` means the endpoints
 are closing (approaching), which raises the received frequency.
@@ -72,6 +74,41 @@ def apply_doppler(
     # Received sample k corresponds to transmitted time k * a / fs.
     positions = np.arange(n_out) * a
     return np.interp(positions, np.arange(len(x)), x)
+
+
+def apply_doppler_at(
+    segment,
+    offset: int,
+    length: int,
+    radial_velocity_mps: float,
+    sound_speed: float = NOMINAL_SOUND_SPEED,
+) -> np.ndarray:
+    """Wideband Doppler of a segment of a longer waveform, in its sample frame.
+
+    ``segment`` holds samples ``offset`` to ``offset + len(segment)`` of
+    a ``length``-sample waveform that is zero elsewhere.  Returns the
+    same samples of :func:`apply_doppler` of the whole waveform, zero-
+    padded or cut to ``length``.  Dilation is linear, so a stage that
+    changes a short window of a long waveform can dilate the change
+    alone; with ``offset`` 0 and the whole waveform as ``segment`` it is
+    the whole dilation.
+    """
+    x = np.asarray(segment, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("segment must be one-dimensional")
+    a = doppler_factor(radial_velocity_mps, sound_speed)
+    if a == 1.0:
+        return x.copy()
+    # Received sample k corresponds to transmitted sample k * a; the
+    # waveform is zero on either side of the segment.
+    received = offset + np.arange(len(x))
+    out = np.interp(
+        received * a - offset,
+        np.arange(-1, len(x) + 1),
+        np.concatenate(([0.0], x, [0.0])),
+    )
+    out[received >= min(length, int(np.floor(length / a)))] = 0.0
+    return out
 
 
 def max_tolerable_velocity_mps(

@@ -161,6 +161,11 @@ class AmbientNoiseModel:
         in-band power — adequate because the receiver always band-filters).
         For the Wenz spectrum the waveform is spectrally shaped via an FFT
         colouring filter.
+
+        Each call advances the model's seeded stream by ``n_samples``
+        draws, so callers draw only the samples they go on to use: a
+        link draws for the tail its demodulator reads
+        (``BackscatterLink._record_tail``), not for the whole mixture.
         """
         if n_samples < 0:
             raise ValueError("n_samples must be non-negative")

@@ -26,6 +26,14 @@ The waveform stages of steps 2-4 (``_incident``, ``_direct``,
 link as an (N, samples) stack.  A live exchange is the one-row call,
 and the batched fleet engine (:mod:`repro.perf.batch`) calls the same
 functions on groups of rows, so both modes share one implementation.
+
+The uplink is a linear system, and a reply changes the node's
+reflection only over its reply window.  So the carrier leg propagates
+the node idling throughout once, and each reply re-radiates and
+propagates only its change over the guarded window, added to that idle
+mixture: the same sum as a whole-waveform computation up to rounding.
+Transforms run at fast FFT lengths (:func:`_fast_len`), zero-padded and
+cut back.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import scipy.fft
 from scipy.signal import hilbert
 
 from repro.acoustics.channel import AcousticChannel
-from repro.acoustics.doppler import apply_doppler
+from repro.acoustics.doppler import apply_doppler_at
 from repro.acoustics.geometry import Position, Tank
 from repro.acoustics.noise import AmbientNoiseModel
 from repro.dsp.demod import DemodResult
@@ -63,22 +71,28 @@ class CarrierLeg(NamedTuple):
 
     Keyed by query, reply length, bitrate and resonance mode, and cut to
     what the chip-dependent tail (:meth:`BackscatterLink._uplink_leg`)
-    reads.  The tail rebuilds the node's reflection by overwriting the
-    reply window of ``idle``; outside that window the node idles in the
-    absorptive state.
+    reads.  Outside the reply window the node idles in the absorptive
+    state, so the tail adds the reply's change over that window
+    (:meth:`BackscatterLink._reply_change`) to ``idle``.
     """
 
-    #: ``real(gamma_a * analytic)`` over the whole incident waveform,
-    #: with ``gamma_a`` the absorptive reflection of the key's mode.
+    #: The quiet hydrophone mixture from ``analysis_start`` on while the
+    #: node idles throughout: the direct arrival plus the absorptive
+    #: reflection, re-radiated, Doppler-dilated for a drifting node and
+    #: propagated.
     idle: np.ndarray
-    #: The analytic incident under the reply window only.
-    window: np.ndarray
-    #: First sample of the reply window.
-    reply_start: int
     #: The direct projector arrival from ``analysis_start`` on.
     direct_tail: np.ndarray
-    #: Length of the whole direct arrival.
-    direct_len: int
+    #: The analytic incident under the reply window only.
+    window: np.ndarray
+    #: The absorptive reflection coefficient of the key's mode.
+    gamma_a: complex
+    #: First sample of the reply window.
+    reply_start: int
+    #: Length of the incident wave, and so of the node's reflection.
+    reflection_len: int
+    #: Length of the whole quiet mixture.
+    total: int
     #: First hydrophone sample the demodulator reads.
     analysis_start: int
 
@@ -86,10 +100,10 @@ class CarrierLeg(NamedTuple):
 class UplinkLeg(NamedTuple):
     """The quiet (pre-noise) hydrophone mixture, as the leg memo holds it."""
 
-    #: ``mixture[analysis_start:]``: all the demodulator reads.
+    #: ``mixture[analysis_start:]``: all the demodulator reads, and all
+    #: the exchange draws noise for.
     tail: np.ndarray
-    #: Length of the whole mixture.  The exchange still draws this much
-    #: noise, so the noise stream advances exactly as before.
+    #: Length of the whole mixture.
     total: int
     #: First mixture sample the demodulator reads.
     analysis_start: int
@@ -114,6 +128,22 @@ def _rms(x) -> float:
     return float(np.sqrt(np.mean(x**2))) if len(x) else 0.0
 
 
+#: Zero samples on each side of the reply window's change
+#: (:meth:`BackscatterLink._reply_change`).  The re-radiation filter
+#: rings for far fewer samples, so its circular wrap lands on silence.
+REPLY_GUARD = 1_024
+
+
+def _fast_len(n: int) -> int:
+    """The length a length-``n`` transform runs at, zero-padded.
+
+    Mixture lengths factor badly (88,466 = 2 * 7 * 71 * 89); the next
+    5-smooth length is at most a few percent longer and transforms
+    several times faster.
+    """
+    return scipy.fft.next_fast_len(n, real=True)
+
+
 def reradiation_response(
     transducer: Transducer,
     n_samples: int,
@@ -123,12 +153,13 @@ def reradiation_response(
     """The rfft-bin gain vector of the transducer's re-radiation filter.
 
     A pure function of (transducer, length, carrier, rate), split out of
-    :func:`apply_reradiation_filter` so the uplink stage
-    (:func:`_uplink_legs`), which filters many same-length waveforms,
-    can take it from the leg memo once per length.
+    :func:`apply_reradiation_filter` so the stages that re-radiate
+    (:func:`_carrier_legs`, :func:`_uplink_legs`) can take it from the
+    leg memo once per transform length.  A resonator re-radiates no DC,
+    so bin 0 is zero.
     """
     freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
-    response = np.ones_like(freqs)
+    response = np.zeros_like(freqs)
     positive = freqs > 0
     response[positive] = transducer.response(freqs[positive])
     at_carrier = float(transducer.response(carrier_hz))
@@ -155,24 +186,19 @@ def apply_reradiation_filter(
     unity at the carrier so the (already applied) reflection coefficient
     is not double-counted.
 
-    ``response`` may carry a precomputed :func:`reradiation_response`
-    for this exact length; passing it changes nothing numerically.
-
-    The transform runs through :mod:`scipy.fft` (pypocketfft), which is
-    bit-identical to ``np.fft`` but ~1.7x faster at the awkward
-    (often prime) mixture lengths this filter sees.  The exchange runs
-    the same filter over row stacks in :func:`_uplink_legs`; this 1-D
-    form is its reference.
+    The waveform is zero-padded to its fast length (:func:`_fast_len`)
+    and the output cut back; ``response`` may carry a precomputed
+    :func:`reradiation_response` for that padded length.  The exchange
+    runs the same filter over row stacks (:func:`_reradiate`); this 1-D
+    form is the tests' reference.
     """
     x = np.asarray(waveform, dtype=float)
     if len(x) == 0:
         return x.copy()
-    spectrum = scipy.fft.rfft(x)
+    n = _fast_len(len(x))
     if response is None:
-        response = reradiation_response(
-            transducer, len(x), carrier_hz, sample_rate
-        )
-    return scipy.fft.irfft(spectrum * response, n=len(x))
+        response = reradiation_response(transducer, n, carrier_hz, sample_rate)
+    return scipy.fft.irfft(scipy.fft.rfft(x, n=n) * response, n=n)[: len(x)]
 
 
 # -- stacked stages ---------------------------------------------------------------------
@@ -183,6 +209,33 @@ def apply_reradiation_filter(
 # would use, and everything data-dependent runs per row.  A live
 # exchange is the one-row call; the batched engine (repro.perf.batch)
 # makes one call per group of rows that share the shapes a stack needs.
+
+
+def _reradiate(links, rows) -> np.ndarray:
+    """Each row filtered through its node's resonance (:func:`apply_reradiation_filter`).
+
+    One stacked rfft at the rows' fast length, each row's response from
+    its leg memo, one stacked irfft, cut back to the rows' length.
+    """
+    n = rows.shape[-1]
+    fast = _fast_len(n)
+    responses = stack_rows([link._reradiation_response(fast) for link in links])
+    return scipy.fft.irfft(
+        scipy.fft.rfft(rows, n=fast, axis=-1) * responses, n=fast, axis=-1
+    )[:, :n]
+
+
+def _dilate(links, rows, starts, lengths) -> None:
+    """Dilate each drifting node's row in place by its one-way Doppler.
+
+    Row i holds samples ``starts[i]`` on of a reflection
+    ``lengths[i]`` samples long (:func:`apply_doppler_at`).  The direct
+    carrier is unaffected, and the downlink's shift is second-order for
+    the envelope.
+    """
+    for link, row, start, length in zip(links, rows, starts, lengths):
+        if link.node_velocity_mps:
+            row[:] = apply_doppler_at(row, start, length, link.node_velocity_mps)
 
 
 def _incident(links, tx) -> np.ndarray:
@@ -224,10 +277,15 @@ def _carrier_legs(
     """The :class:`CarrierLeg` of each row's query-then-carrier ``tx``.
 
     ``rows[i]`` is ``(uplink_start, n_chips, bitrate, mode)`` for row i.
-    Both channel convolutions run stacked; the analytic (Hilbert)
-    transform, which gains nothing from stacking on one core, and the
-    cut to a slim leg run per row.  ``stage(name, **attrs)`` opens each
-    stage's span; ``probes`` receives the ``incident_carrier`` tap.
+    The node idles in the absorptive state of its mode throughout: its
+    reflection of the analytic incident is re-radiated, dilated by a
+    drifting node's Doppler and propagated to the hydrophone, where it
+    mixes with the direct carrier.  This is the one whole-waveform
+    re-radiation, paid once per carrier.  The channel convolutions and
+    the re-radiation run stacked; the analytic (Hilbert) transform, at
+    the incident's fast length and cut back, and the cut to a slim leg
+    run per row.  ``stage(name, **attrs)`` opens each stage's span;
+    ``probes`` receives the ``incident_carrier`` tap.
     """
     samples = tx.shape[-1]
     with stage("link.downlink_propagation", segment="carrier", samples=samples):
@@ -242,11 +300,29 @@ def _carrier_legs(
             )
     with stage("link.uplink_propagation", segment="direct", samples=samples):
         direct = _direct(links, tx)
+    n = incident.shape[-1]
     with stage("link.node", phase="backscatter", segment="carrier"):
-        return [
-            link._slim_carrier(hilbert(inc), dir_, *row)
-            for link, inc, dir_, row in zip(links, incident, direct, rows)
+        analytic = [hilbert(row, N=_fast_len(n))[:n] for row in incident]
+        # The idle state of the row's mode, never read from the node:
+        # the batched engine builds legs for predicted exchanges.
+        gammas = [
+            link.node.bank.reflection_states(mode, link.projector.carrier_hz)[0]
+            for link, (_start, _chips, _bitrate, mode) in zip(links, rows)
         ]
+        idle = _reradiate(links, stack_rows([
+            np.real(gamma_a * row) for gamma_a, row in zip(gammas, analytic)
+        ]))
+        _dilate(links, idle, [0] * len(links), [n] * len(links))
+    with stage("link.uplink_propagation", segment="idle", samples=n):
+        uplinks = AcousticChannel.propagate(
+            [link.ch_node_hydrophone for link in links], idle
+        )
+    return [
+        link._slim_carrier(a, gamma_a, d, u, start, n_chips, bitrate)
+        for link, a, gamma_a, d, u, (start, n_chips, bitrate, _mode) in zip(
+            links, analytic, gammas, direct, uplinks, rows
+        )
+    ]
 
 
 def _uplink_legs(
@@ -254,62 +330,67 @@ def _uplink_legs(
 ) -> list[UplinkLeg]:
     """The quiet :class:`UplinkLeg` of each row's carrier, modulated by its chips.
 
-    Row i reflects ``carriers[i]`` with ``chips[i]`` at ``bitrates[i]``
-    (:meth:`BackscatterLink._reflected`), re-radiates it through the
-    transducer's resonance (as :func:`apply_reradiation_filter` does:
-    one stacked rfft, each row's response, one stacked irfft), dilates
-    a drifting node's row by its one-way Doppler (the direct carrier is
-    unaffected; the downlink's shift is second-order for the envelope),
-    propagates the stack to the hydrophone and mixes each row with its
-    direct carrier (:meth:`BackscatterLink._quiet_tail`).  Every step is
-    elementwise over the whole waveform, so the analysed tail of the
-    quiet mixture is the whole mixture's tail bit for bit.  The
-    carriers share one waveform length.  ``probes`` receives the
-    ``backscatter_reflected`` tap.
+    Row i changes the idle reflection of ``carriers[i]`` over its reply
+    window by ``chips[i]`` at ``bitrates[i]``
+    (:meth:`BackscatterLink._reply_change`, :data:`REPLY_GUARD` zeros
+    on each side), re-radiates that change through the transducer's
+    resonance (:func:`_reradiate`), cut at the end of the reflection,
+    dilates a drifting node's row at its offset (:func:`_dilate`),
+    propagates the stack to the hydrophone and adds each row to its
+    carrier's idle mixture (:meth:`BackscatterLink._quiet_tail`).  The
+    system is linear, so this equals re-radiating and propagating the
+    whole reflection up to rounding and the filter's circular wrap,
+    which the guard leaves on silence.  The carriers share one window
+    length.  ``probes`` receives the ``backscatter_reflected`` tap: the
+    re-radiated change over the guarded window.
     """
     with stage("link.node", phase="backscatter", chips=sum(map(len, chips))):
-        reflected = stack_rows([
-            link._reflected(c.idle, c.window, c.reply_start, row_chips, bitrate)
+        changes = _reradiate(links, stack_rows([
+            link._reply_change(c, row_chips, bitrate)
             for link, c, row_chips, bitrate in zip(
                 links, carriers, chips, bitrates
             )
-        ])
-        n = reflected.shape[-1]
-        responses = stack_rows([link._reradiation_response(n) for link in links])
-        reflected = scipy.fft.irfft(
-            scipy.fft.rfft(reflected, axis=-1) * responses, n=n, axis=-1
-        )
-        for link, row in zip(links, reflected):
-            if link.node_velocity_mps:
-                moved = apply_doppler(
-                    row, link.node_velocity_mps, link.sample_rate
-                )[:n]
-                row[: len(moved)] = moved
-                row[len(moved):] = 0.0
+        ]))
+        starts = [c.reply_start - REPLY_GUARD for c in carriers]
+        for row, start, c in zip(changes, starts, carriers):
+            # The reflection ends with the incident wave: ringing past
+            # it is cut, as the whole-waveform filter's output is.
+            row[max(c.reflection_len - start, 0):] = 0.0
+        _dilate(links, changes, starts, [c.reflection_len for c in carriers])
     if probes.wants("link.node"):
-        for link, row, c, row_chips in zip(links, reflected, carriers, chips):
+        for link, row, c, start, row_chips in zip(
+            links, changes, carriers, starts, chips
+        ):
             probes.capture(
                 "link.node", "backscatter_reflected",
                 waveform=row, sample_rate=link.sample_rate,
-                reply_start=int(c.reply_start), chips=len(row_chips),
+                reply_start=int(c.reply_start), window_start=int(start),
+                chips=len(row_chips),
             )
-    with stage("link.uplink_propagation", samples=n):
+    with stage("link.uplink_propagation", samples=changes.shape[-1]):
         uplinks = AcousticChannel.propagate(
-            [link.ch_node_hydrophone for link in links], reflected
+            [link.ch_node_hydrophone for link in links], changes
         )
         legs = [
-            BackscatterLink._quiet_tail(c, uplink)
-            for c, uplink in zip(carriers, uplinks)
+            BackscatterLink._quiet_tail(c, uplink, start)
+            for c, uplink, start in zip(carriers, uplinks, starts)
         ]
     if probes.wants("link.uplink_propagation"):
         legs = [
             leg._replace(
                 direct_rms_pa=_rms(c.direct_tail),
-                uplink_rms_pa=_rms(uplink[leg.analysis_start:]),
+                uplink_rms_pa=_rms(_backscatter(leg, c)),
             )
-            for leg, c, uplink in zip(legs, carriers, uplinks)
+            for leg, c in zip(legs, carriers)
         ]
     return legs
+
+
+def _backscatter(leg: UplinkLeg, carrier: CarrierLeg) -> np.ndarray:
+    """The backscattered arrival in ``leg``'s tail: the tail less the direct one."""
+    reflected = np.array(leg.tail)
+    reflected[: len(carrier.direct_tail)] -= carrier.direct_tail
+    return reflected
 
 
 @dataclass
@@ -754,23 +835,23 @@ class BackscatterLink:
             gamma[a : int(round((k + 1) * spc))] = g
         return gamma
 
-    def _reflected(
-        self, idle, window, reply_start: int, chips, bitrate: float
-    ) -> np.ndarray:
-        """The node's reflection of the analytic incident, before re-radiation.
+    def _reply_change(self, carrier: CarrierLeg, chips, bitrate: float) -> np.ndarray:
+        """The reply's change to the node's idle reflection, over its guarded window.
 
-        The reflection coefficient trajectory multiplies the analytic
-        incident signal under the reply ``window``; everywhere else the
-        node idles in the absorptive state, whose reflection ``idle``
-        already holds.  Every sample is the same elementwise product a
-        whole-waveform trajectory gives.
+        ``real((gamma_t - gamma_a) * window)``, with ``gamma_t`` the
+        reflection trajectory of ``chips`` and ``gamma_a`` the idle
+        state, between :data:`REPLY_GUARD` zeros on each side: sample
+        ``j`` is reflection sample ``reply_start - REPLY_GUARD + j``.
+        Outside the window the node idles, which the carrier's idle
+        mixture already holds.
         """
-        reflected = np.array(idle)
+        window = carrier.window
         gamma = self._reply_gamma(chips, bitrate, len(window))
-        reflected[reply_start : reply_start + len(window)] = np.real(
-            gamma * window
+        change = np.zeros(len(window) + 2 * REPLY_GUARD)
+        change[REPLY_GUARD : REPLY_GUARD + len(window)] = np.real(
+            (gamma - carrier.gamma_a) * window
         )
-        return reflected
+        return change
 
     def _carrier_tx(self, query: Query, n_chips: int, bitrate: float):
         """``(tx, uplink_start)``: the query, then a carrier for ``n_chips`` chips.
@@ -783,31 +864,38 @@ class BackscatterLink:
     def _slim_carrier(
         self,
         analytic,
+        gamma_a: complex,
         direct,
+        uplink,
         uplink_start: int,
         n_chips: int,
         bitrate: float,
-        mode: int,
     ) -> CarrierLeg:
         """Cut a propagated carrier down to the :class:`CarrierLeg` it memoizes.
 
-        The reply window runs from ``reply_start`` to the end of the last
-        chip, clipped by the end of the waveform.  ``gamma_a`` is that of
-        ``mode``, never read from the node: the batched engine builds
-        legs for predicted exchanges.
+        ``uplink`` is the propagated idle reflection.  The idle mixture
+        is summed as the whole mixture would be (zeros, then the direct
+        carrier, then the reflection) over the analysed samples only.
+        The reply window runs from ``reply_start`` to the end of the
+        last chip, clipped by the end of the incident waveform.
         """
         reply_start, analysis_start = self._leg_offsets(uplink_start)
         spc = self.sample_rate / (2.0 * bitrate)
         end = min(reply_start + int(round(n_chips * spc)), len(analytic))
-        gamma_a, _gamma_r = self.node.bank.reflection_states(
-            mode, self.projector.carrier_hz
-        )
+        total = max(len(direct), len(uplink))
+        direct_tail = direct[analysis_start:].copy()
+        idle = np.zeros(max(total - analysis_start, 0))
+        idle[: len(direct_tail)] += direct_tail
+        reflected = uplink[analysis_start:]
+        idle[: len(reflected)] += reflected
         return CarrierLeg(
-            idle=np.ascontiguousarray(np.real(gamma_a * analytic)),
+            idle=idle,
+            direct_tail=direct_tail,
             window=analytic[reply_start : max(end, reply_start)].copy(),
+            gamma_a=complex(gamma_a),
             reply_start=reply_start,
-            direct_tail=direct[analysis_start:].copy(),
-            direct_len=len(direct),
+            reflection_len=len(analytic),
+            total=total,
             analysis_start=analysis_start,
         )
 
@@ -851,20 +939,19 @@ class BackscatterLink:
         )[0]
 
     @staticmethod
-    def _quiet_tail(carrier: CarrierLeg, uplink) -> UplinkLeg:
+    def _quiet_tail(carrier: CarrierLeg, uplink, start: int) -> UplinkLeg:
         """The pre-noise hydrophone mixture from the analysis start on.
 
-        Summed as the whole mixture would be (zeros, then the direct
-        carrier, then the propagated reflection) but only over the
-        analysed samples — elementwise, so each is bit-identical.
+        A copy of the carrier's idle mixture plus ``uplink``, the
+        propagated change a reply makes, which begins at mixture sample
+        ``start``; the part of it outside the analysed samples is cut.
         """
-        start = carrier.analysis_start
-        total = max(carrier.direct_len, len(uplink))
-        tail = np.zeros(max(total - start, 0))
-        tail[: len(carrier.direct_tail)] += carrier.direct_tail
-        reflected = uplink[start:]
-        tail[: len(reflected)] += reflected
-        return UplinkLeg(tail, total, start)
+        tail = np.array(carrier.idle)
+        at = start - carrier.analysis_start
+        lo = max(-at, 0)
+        hi = max(min(len(uplink), len(tail) - at), lo)
+        tail[at + lo : at + hi] += uplink[lo:hi]
+        return UplinkLeg(tail, carrier.total, carrier.analysis_start)
 
     def _uplink_leg(
         self,
@@ -876,10 +963,10 @@ class BackscatterLink:
     ) -> UplinkLeg:
         """The chip-dependent tail of the uplink leg: :func:`_uplink_legs`' one row.
 
-        Modulates the memoized carrier with this reply's reflection
-        trajectory, re-radiates it, propagates it to the hydrophone, and
-        mixes it with the direct carrier.  ``probes`` receives the
-        ``backscatter_reflected`` tap.
+        Changes the memoized carrier's idle reflection by this reply's
+        trajectory over the reply window, re-radiates and propagates the
+        change, and adds it to the idle mixture.  ``probes`` receives
+        the ``backscatter_reflected`` tap.
         """
         return _uplink_legs(
             [self], [carrier], [chips], [bitrate], stage, probes
@@ -888,16 +975,13 @@ class BackscatterLink:
     def _record_tail(self, leg: UplinkLeg, probes=_UNPROBED) -> np.ndarray:
         """Draw this exchange's noise and record the analysed tail.
 
-        The noise stream advances by the whole mixture, as the exchange
-        always has; only the tail the demodulator reads is summed and
-        recorded.  ``record()`` is elementwise, so this equals slicing a
-        recording of the whole mixture bit for bit.  ``probes`` receives
-        the ``hydrophone_mixture`` tap: the noisy mixture from
-        ``analysis_start`` on.
+        Noise is drawn for the tail the demodulator reads and nothing
+        else, so the noise stream advances by ``len(leg.tail)`` samples.
+        ``probes`` receives the ``hydrophone_mixture`` tap: the noisy
+        mixture from ``analysis_start`` on.
         """
         fs = self.sample_rate
-        noise = self.noise.generate(leg.total, fs)
-        mixture = leg.tail + noise[leg.analysis_start:]
+        mixture = leg.tail + self.noise.generate(len(leg.tail), fs)
         if probes.wants("link.uplink_propagation"):
             f = self.projector.carrier_hz
             chip_rate = 2.0 * self.node.bitrate

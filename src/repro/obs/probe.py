@@ -28,7 +28,8 @@ Publishers (stage names as recorded on the taps):
 ========================  ====================================================
 ``link.pwm_synthesis``    projector waveforms (query, query+carrier)
 ``link.downlink_propagation``  incident pressure at the node
-``link.node``             power-up, query envelope, uplink chips, backscatter
+``link.node``             power-up, query envelope, uplink chips, the reply's
+                          re-radiated change over its guarded window
 ``link.uplink_propagation``    analysed hydrophone mixture (direct + uplink + noise)
 ``link.hydrophone_dsp``   analysis-segment bookkeeping
 ``hydrophone.demodulate`` recording + decode outcome (CRC, SNR, CFO)

@@ -35,13 +35,17 @@ sequential loop.  Once every ``window`` rounds it plans the coming
   call per group of rows that share the shapes a stack needs, and seed
   the per-link leg memos with the results (an envelope only feeds the
   query decode its dry run resumes with; the memo keeps the decode).
+  A carrier row's shape is its transmission's length and its three
+  channels' impulse-response lengths; an uplink tail re-radiates only
+  its reply window, so its shape is the window's length and the
+  node-to-hydrophone response's.
   A live exchange makes the same calls with one row, so a seeded memo
   entry is the one the sequential path would have computed, by
   construction.
 * **Demodulate** (phase B2): with the quiet mixtures known, draw each
-  link's ambient noise from its own seeded stream — one segment per
-  planned exchange, in round order, restoring the RNG afterwards so the
-  live rounds still observe the exact same stream positions — decode
+  link's ambient noise from its own seeded stream — one analysed tail
+  per planned exchange, in round order, restoring the RNG afterwards so
+  the live rounds still observe the exact same stream positions — decode
   each group of equal-length segments in one
   ``BackscatterDemodulator.demodulate_rows`` call (stacked front end
   and preamble correlation, per-row decode tail), and stash each
@@ -513,6 +517,7 @@ class BatchedLinkEngine:
             lambda r: (
                 len(r[1]), len(r[0].link.ch_projector_node._impulse),
                 len(r[0].link.ch_projector_hydrophone._impulse),
+                len(r[0].link.ch_node_hydrophone._impulse),
             ),
         ):
             legs = _carrier_legs(
@@ -548,7 +553,9 @@ class BatchedLinkEngine:
             (missing if plan.uplink_missing else rest).append(plan)
         for group in self._groups(
             "uplink_tail", missing,
-            lambda p: (len(p.leg.idle), len(p.link.ch_node_hydrophone._impulse)),
+            lambda p: (
+                len(p.leg.window), len(p.link.ch_node_hydrophone._impulse)
+            ),
         ):
             legs = _uplink_legs(
                 [p.link for p in group], [p.leg for p in group],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.acoustics import apply_doppler, doppler_factor, doppler_shift_hz
-from repro.acoustics.doppler import max_tolerable_velocity_mps
+from repro.acoustics.doppler import apply_doppler_at, max_tolerable_velocity_mps
 from repro.dsp import tone
 
 FS = 96_000.0
@@ -69,6 +69,36 @@ class TestApplyDoppler:
             apply_doppler(np.ones((2, 2)), 1.0, FS)
         with pytest.raises(ValueError):
             apply_doppler(np.ones(10), 1.0, 0.0)
+
+
+class TestApplyDopplerAt:
+    """A segment dilated in its waveform's frame is that waveform's dilation."""
+
+    @staticmethod
+    def _whole(x, v, length):
+        moved = apply_doppler(x, v, FS)[:length]
+        return np.pad(moved, (0, length - len(moved)))
+
+    @pytest.mark.parametrize("v", [0.4, -0.4])
+    def test_whole_waveform_is_apply_doppler_bit_for_bit(self, v):
+        x = np.random.default_rng(1).normal(size=5_000)
+        got = apply_doppler_at(x, 0, len(x), v)
+        assert got.tobytes() == self._whole(x, v, len(x)).tobytes()
+
+    @pytest.mark.parametrize("v", [3.0, -3.0])
+    def test_segment_matches_the_whole_waveform(self, v):
+        rng = np.random.default_rng(2)
+        offset, n = 3_000, 4_000
+        whole = np.zeros(10_000)
+        whole[offset + 500 : offset + n - 500] = rng.normal(size=n - 1_000)
+        got = apply_doppler_at(whole[offset : offset + n], offset, len(whole), v)
+        want = self._whole(whole, v, len(whole))[offset : offset + n]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_cut_at_the_dilated_length(self):
+        # Closing at 3 m/s, a 10,000-sample waveform dilates to 9,980.
+        got = apply_doppler_at(np.ones(1_000), 9_000, 10_000, 3.0)
+        assert np.all(got[:100] == 1.0) and np.all(got[980:] == 0.0)
 
 
 class TestTolerableVelocity:

@@ -187,10 +187,12 @@ def reference_uplink(link, query, chips, bitrate, mode, *, reply_shift=0):
     The reflection trajectory spans the whole incident signal
     (``gamma_t * analytic``), then re-radiation, the uplink channel and
     the mixture with the direct carrier, all at full length; the result
-    is sliced at the analysis start.  Returns ``(tail, total,
-    analysis_start, incident length, reply_start, mixture)``, with
-    ``mixture`` the whole quiet mixture.
+    is sliced at the analysis start.  The analytic signal and the
+    re-radiation filter run at the incident's fast FFT length, as the
+    link's do.  Returns ``(tail, total, analysis_start, incident length,
+    reply_start, mixture)``, with ``mixture`` the whole quiet mixture.
     """
+    from scipy.fft import next_fast_len
     from scipy.signal import hilbert
 
     from repro.acoustics.doppler import apply_doppler
@@ -220,7 +222,8 @@ def reference_uplink(link, query, chips, bitrate, mode, *, reply_shift=0):
         if a >= n:
             break
         gamma_t[a : min(b, n)] = g
-    reflected = np.real(gamma_t * hilbert(incident))
+    analytic = hilbert(incident, N=next_fast_len(n, real=True))[:n]
+    reflected = np.real(gamma_t * analytic)
     reflected = apply_reradiation_filter(reflected, link.node.transducer, f, fs)
     if link.node_velocity_mps:
         moved = apply_doppler(reflected, link.node_velocity_mps, fs)
@@ -243,11 +246,16 @@ def reference_uplink(link, query, chips, bitrate, mode, *, reply_shift=0):
 def _assert_leg_matches(leg, reference):
     tail, total, start = reference[:3]
     assert (leg.total, leg.analysis_start) == (total, start)
-    assert leg.tail.tobytes() == tail.tobytes()
+    assert np.max(np.abs(leg.tail - tail)) <= 1e-5 * np.sqrt(np.mean(tail**2))
 
 
 class TestSlimLegs:
-    """The memo's slim legs rebuild the analysed mixture bit for bit."""
+    """The memo's slim legs rebuild the analysed mixture.
+
+    A leg re-radiates only the reply window's change, so it matches the
+    whole-waveform reference up to rounding and the filter's wrap, well
+    inside 1e-5 of the tail's RMS.
+    """
 
     def _slim(self, link, query, chips):
         bitrate = link.node.bitrate
@@ -366,10 +374,10 @@ class TestSlimLegs:
 
 
 class TestRecordTail:
-    """The recorded tail is the analysed part of a whole-mixture recording."""
+    """The recorded tail is the analysed tail plus noise drawn for it alone."""
 
     @pytest.mark.parametrize("velocity", [0.0, 0.4])
-    def test_matches_whole_recording_and_noise_stream(self, velocity):
+    def test_noise_drawn_for_the_analysed_tail_only(self, velocity):
         from repro.acoustics.noise import AmbientNoiseModel
 
         link = make_link(bitrate=2_000.0, velocity=velocity)
@@ -379,13 +387,28 @@ class TestRecordTail:
         bitrate = link.node.bitrate
         carrier = link._carrier_leg(query, len(chips), bitrate, 0)
         leg = link._uplink_leg(carrier, chips, bitrate)
-        ref = reference_uplink(link, query, chips, bitrate, 0)
-        start, mixture = ref[2], ref[5]
+        assert len(leg.tail) < leg.total
         link.noise = AmbientNoiseModel(spectrum="flat", flat_level_db=60.0, seed=11)
         twin = AmbientNoiseModel(spectrum="flat", flat_level_db=60.0, seed=11)
         recorded = link._record_tail(leg)
-        whole = link.hydrophone.record(
-            mixture + twin.generate(len(mixture), link.sample_rate)
+        expected = link.hydrophone.record(
+            leg.tail + twin.generate(len(leg.tail), link.sample_rate)
         )
-        assert recorded.tobytes() == whole[start:].tobytes()
+        assert recorded.tobytes() == expected.tobytes()
         assert link.noise.snapshot_state() == twin.snapshot_state()
+
+
+class TestReradiationFilter:
+    """The re-radiation filter is the transducer's resonance: it passes no DC."""
+
+    def test_dc_bin_is_zero_and_a_constant_maps_to_zero(self):
+        from repro.core.link import apply_reradiation_filter, reradiation_response
+
+        transducer = Transducer.from_cylinder_design()
+        f = transducer.resonance_hz
+        fs = 96_000.0
+        response = reradiation_response(transducer, 4_800, f, fs)
+        assert response[0] == 0.0
+        assert 0.0 < response[1] < 1e-3
+        out = apply_reradiation_filter(np.full(4_800, 3.0), transducer, f, fs)
+        assert np.max(np.abs(out)) < 1e-12

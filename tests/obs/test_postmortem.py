@@ -135,7 +135,7 @@ class _FailingLinkRuns:
 class TestFromLink(_FailingLinkRuns):
     @pytest.fixture(scope="class")
     def crc_failed(self):
-        return self.run(noise_db=120.0)
+        return self.run(noise_db=130.0)
 
     def test_crc_fail_autopsy(self, crc_failed):
         probes, result = crc_failed
@@ -167,7 +167,7 @@ class TestFromLink(_FailingLinkRuns):
 
         tracer = Tracer()
         with use_tracer(tracer):
-            _, result = self.run(noise_db=120.0)
+            _, result = self.run(noise_db=130.0)
         root = [s for s in tracer.spans if s.name == "link.transact"][0]
         assert root.attrs["postmortem_verdict"] == result.postmortem.verdict
         assert root.attrs["failing_stage"] == "link.hydrophone_dsp"

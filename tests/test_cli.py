@@ -139,7 +139,7 @@ class TestProbeCommand:
 
     def test_probe_failure_renders_postmortem(self, tmp_path, capsys):
         pm_out = tmp_path / "deep" / "pm.jsonl"
-        assert main(["probe", "--noise-db", "120",
+        assert main(["probe", "--noise-db", "130",
                      "--postmortem-out", str(pm_out)]) == 1
         text = capsys.readouterr().out
         assert "reply decoded: False" in text
@@ -150,7 +150,7 @@ class TestProbeCommand:
 
     def test_postmortem_renders_jsonl(self, tmp_path, capsys):
         pm_out = tmp_path / "pm.jsonl"
-        assert main(["probe", "--noise-db", "120",
+        assert main(["probe", "--noise-db", "130",
                      "--postmortem-out", str(pm_out)]) == 1
         capsys.readouterr()
         assert main(["postmortem", str(pm_out)]) == 0
