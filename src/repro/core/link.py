@@ -61,7 +61,7 @@ from repro.net.messages import Query, Response
 from repro.node.node import PABNode
 from repro.obs.probe import ProbeRegistry, get_probes, use_probes
 from repro.obs.trace import NULL_SPAN, get_tracer
-from repro.perf.cache import LRUCache
+from repro.perf.cache import LRUCache, get_cache
 from repro.perf.kernels import stack_rows
 from repro.piezo.transducer import Transducer
 
@@ -155,8 +155,8 @@ def reradiation_response(
     A pure function of (transducer, length, carrier, rate), split out of
     :func:`apply_reradiation_filter` so the stages that re-radiate
     (:func:`_carrier_legs`, :func:`_uplink_legs`) can take it from the
-    leg memo once per transform length.  A resonator re-radiates no DC,
-    so bin 0 is zero.
+    ``rerad_responses`` cache once per transform length.  A resonator
+    re-radiates no DC, so bin 0 is zero.
     """
     freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
     response = np.zeros_like(freqs)
@@ -215,7 +215,8 @@ def _reradiate(links, rows) -> np.ndarray:
     """Each row filtered through its node's resonance (:func:`apply_reradiation_filter`).
 
     One stacked rfft at the rows' fast length, each row's response from
-    its leg memo, one stacked irfft, cut back to the rows' length.
+    the shared ``rerad_responses`` cache, one stacked irfft, cut back to
+    the rows' length.
     """
     n = rows.shape[-1]
     fast = _fast_len(n)
@@ -786,19 +787,20 @@ class BackscatterLink:
         return max(f0 - half, 1.0), min(f0 + half, self.sample_rate / 2.0 - 1.0)
 
     def _reradiation_response(self, n_samples: int) -> np.ndarray:
-        """Memoized re-radiation gain vector for one waveform length.
+        """The re-radiation gain vector for one transform length, shared.
 
-        The vector is a pure function of the (fixed) transducer, carrier,
-        and rate, so the memo is keyed by length alone; with caching
-        globally disabled it is recomputed per call, exactly as before.
+        The vector reads nothing of the transducer but its BVD element
+        values (:meth:`Transducer.response`), so links whose nodes carry
+        equal transducers share one read-only vector per length, carrier
+        and rate in the process-wide ``rerad_responses`` cache; with
+        caching globally disabled it is recomputed per call.
         """
-        return self._leg_memo.get_or_compute(
-            ("rerad_response", n_samples),
+        transducer = self.node.transducer
+        carrier_hz = self.projector.carrier_hz
+        return get_cache("rerad_responses").get_or_compute(
+            (transducer.bvd.params, n_samples, carrier_hz, self.sample_rate),
             lambda: reradiation_response(
-                self.node.transducer,
-                n_samples,
-                self.projector.carrier_hz,
-                self.sample_rate,
+                transducer, n_samples, carrier_hz, self.sample_rate
             ),
         )
 

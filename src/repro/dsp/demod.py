@@ -307,10 +307,21 @@ class BackscatterDemodulator:
         modulation axis and the decode tail run per row.  Entry i is
         ``demodulate(waveforms[i])`` bit for bit, or the ``ValueError``
         that call raises when row i is too short for the CFO estimate.
+        A row holding a NaN or an infinity fails as a decode without
+        touching the other rows.
         """
+        waveforms = np.asarray(waveforms)
+        finite = np.isfinite(waveforms).all(axis=-1)
         results: list = []
         decodable = []  # (index, baseband, cfo, modulation)
-        for row in self._channel_baseband(waveforms):
+        for row, ok in zip(self._channel_baseband(waveforms), finite):
+            if not ok:
+                empty = np.zeros(0)
+                results.append(DemodResult(
+                    None, empty, empty, float("nan"), float("nan"), None,
+                    "non-finite samples in the recording",
+                ))
+                continue
             try:
                 baseband, cfo = self._derotated(row)
             except ValueError as exc:
@@ -383,7 +394,17 @@ class BackscatterDemodulator:
     def _detection_candidates(
         self, modulation, max_candidates: int, *, corr=None
     ) -> list[PacketDetection]:
-        """Strong preamble-correlation peaks, most promising first."""
+        """Strong preamble-correlation peaks, earliest first.
+
+        Picks by repeated ``argmax`` over the correlation magnitudes at
+        or above the detection threshold, blanking the chip on either
+        side of each pick (indices within one chip's samples), until
+        ``max_candidates`` are picked or none is left.  With distinct
+        magnitudes that is the greedy scan of the magnitudes in
+        descending order, keeping each peak more than a chip from every
+        kept one.  Of equal magnitudes ``argmax`` takes the earliest
+        index.
+        """
         from repro.dsp.sync import preamble_correlation
 
         if corr is None:
@@ -406,15 +427,14 @@ class BackscatterDemodulator:
         if not len(mags) or mags.max() < self.detection_threshold:
             return []
         spc = int(round(self.sample_rate / self.chip_rate))
-        order = np.argsort(mags)[::-1]
+        open_ = np.where(mags >= self.detection_threshold, mags, -np.inf)
         picked: list[int] = []
-        for idx in order:
-            if mags[idx] < self.detection_threshold:
+        while len(picked) < max_candidates:
+            idx = int(np.argmax(open_))
+            if open_[idx] == -np.inf:
                 break
-            if all(abs(idx - p) > spc for p in picked):
-                picked.append(int(idx))
-            if len(picked) >= max_candidates:
-                break
+            picked.append(idx)
+            open_[max(idx - spc, 0) : idx + spc + 1] = -np.inf
         # Earliest strong peak is usually the direct arrival.
         picked.sort()
         return [

@@ -15,40 +15,72 @@ from repro.perf.cache import get_cache
 from repro.perf.kernels import smart_convolve
 
 
-def _butter_sos(
+def _butter_design(
     order: int, cutoff, sample_rate: float, btype: str
-) -> np.ndarray:
-    """Cached Butterworth SOS design.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cached Butterworth design: ``(sos, zi)`` for :func:`_sosfiltfilt`.
 
     ``signal.butter`` re-solves the analog prototype and bilinear
-    transform on every call (~7 ms for order 4); the receiver designs
-    the same handful of filters for every transaction, so the SOS
-    matrices are memoized by their full design key.  The cached matrix
-    is frozen read-only, and scipy's ``sosfilt`` kernel requires a
-    writable buffer, so callers get a fresh copy (a few dozen floats).
+    transform on every call (~7 ms for order 4), and ``sosfilt_zi``
+    solves one linear system per section; the receiver designs the same
+    handful of filters for every transaction, so both are memoized by
+    the full design key and frozen read-only.  scipy's ``sosfilt``
+    kernel rejects a read-only SOS buffer, so callers get a fresh copy
+    of the SOS (a few dozen floats) and the shared ``zi``, which is only
+    ever scaled into a new array.
     """
     key = (order, cutoff, sample_rate, btype)
-    return get_cache("fir_kernels").get_or_compute(
-        key,
-        lambda: signal.butter(
+
+    def design():
+        sos = signal.butter(
             order, list(cutoff) if btype == "band" else cutoff,
             btype=btype, fs=sample_rate, output="sos",
-        ),
-    ).copy()
+        )
+        return sos, signal.sosfilt_zi(sos)
+
+    sos, zi = get_cache("fir_kernels").get_or_compute(key, design)
+    return sos.copy(), zi
 
 
-def _sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sosfiltfilt`` along the last axis; a complex input in one call.
+def _sosfiltfilt(sos: np.ndarray, zi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Zero-phase ``sosfilt`` forward and back along the last axis.
 
-    The real and imaginary parts of a complex input are filtered as two
-    rows of one stack: rows are independent, so each part is
-    bit-identical to its own call, and the filter's initial conditions
-    are set up once instead of twice.
+    ``scipy.signal.sosfiltfilt(sos, x, axis=-1)`` bit for bit, for a 1-D
+    input or an (N, samples) stack, without re-deriving the design's
+    initial conditions: ``zi`` is its ``sosfilt_zi(sos)``, cached with
+    the design (:func:`_butter_design`).  The steps are scipy's own:
+    an odd extension of ``3 * ntaps`` samples at both ends (scipy's
+    ``ValueError`` for an input no longer than that), a ``sosfilt``
+    pass started from ``zi`` scaled by the first sample, a second pass
+    over the reversed output started from ``zi`` scaled by its last
+    sample, then the reversal and the cut.  The real and imaginary
+    parts of a complex input are filtered as rows of one stack: rows
+    are independent, so each part is bit-identical to its own call.
     """
     if np.iscomplexobj(x):
-        parts = signal.sosfiltfilt(sos, np.stack([x.real, x.imag]), axis=-1)
+        parts = _sosfiltfilt(sos, zi, np.stack([x.real, x.imag]))
         return parts[0] + 1j * parts[1]
-    return signal.sosfiltfilt(sos, x, axis=-1)
+    ntaps = 2 * len(sos) + 1 - min(
+        int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum())
+    )
+    edge = 3 * ntaps
+    if x.shape[-1] <= edge:
+        raise ValueError(
+            "The length of the input vector x must be greater than padlen, "
+            f"which is {edge}."
+        )
+    ext = np.concatenate(
+        (
+            2 * x[..., :1] - x[..., edge:0:-1],
+            x,
+            2 * x[..., -1:] - x[..., -2 : -(edge + 2) : -1],
+        ),
+        axis=-1,
+    )
+    zi = zi.reshape(zi.shape[:1] + (1,) * (x.ndim - 1) + zi.shape[1:])
+    y = signal.sosfilt(sos, ext, axis=-1, zi=zi * ext[..., :1])[0]
+    y = signal.sosfilt(sos, y[..., ::-1], axis=-1, zi=zi * y[..., -1:])[0]
+    return y[..., ::-1][..., edge:-edge]
 
 
 def butter_lowpass(
@@ -61,8 +93,8 @@ def butter_lowpass(
     """Zero-phase Butterworth low-pass filter (works on complex data).
 
     Accepts a 1-D waveform or an (N, samples) stack filtered along the
-    last axis; ``sosfiltfilt`` along ``axis=-1`` is bit-identical to the
-    per-row 1-D call, so the batched engine shares this code path.
+    last axis; each row is bit-identical to its own 1-D call, so the
+    batched engine shares this code path.
     """
     x = np.asarray(waveform)
     if x.ndim not in (1, 2):
@@ -71,8 +103,8 @@ def butter_lowpass(
         raise ValueError("cutoff must be in (0, Nyquist)")
     if order < 1:
         raise ValueError("order must be >= 1")
-    sos = _butter_sos(order, float(cutoff_hz), float(sample_rate), "low")
-    return _sosfiltfilt(sos, x)
+    sos, zi = _butter_design(order, float(cutoff_hz), float(sample_rate), "low")
+    return _sosfiltfilt(sos, zi, x)
 
 
 def butter_bandpass(
@@ -91,10 +123,10 @@ def butter_bandpass(
         raise ValueError("need 0 < low < high < Nyquist")
     if order < 1:
         raise ValueError("order must be >= 1")
-    sos = _butter_sos(
+    sos, zi = _butter_design(
         order, (float(low_hz), float(high_hz)), float(sample_rate), "band"
     )
-    return _sosfiltfilt(sos, x)
+    return _sosfiltfilt(sos, zi, x)
 
 
 def envelope_detect(

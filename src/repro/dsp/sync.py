@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from repro.constants import TWO_PI
 from repro.dsp.fm0 import fm0_expected_chips
@@ -27,8 +28,7 @@ from repro.perf.cache import get_cache
 from repro.perf.kernels import (
     batched_convolve,
     batched_correlate,
-    smart_convolve,
-    smart_correlate,
+    convolution_regime,
 )
 
 
@@ -149,6 +149,38 @@ def preamble_template(
     return get_cache("sync_templates").get_or_compute(key, compute)
 
 
+def _normalised(template: np.ndarray) -> np.ndarray:
+    """The template scaled to unit energy."""
+    return template / np.sqrt(np.sum(template**2))
+
+
+def _template_spectra(
+    preamble_bits, chip_rate: float, sample_rate: float, n_fft: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """rffts of the reversed unit-energy template and of the energy window.
+
+    Both at ``n_fft`` points: the kernels :func:`scipy.signal.fftconvolve`
+    would transform on every call, transformed once per
+    ``(preamble, rates, n_fft)`` and kept read-only in ``sync_templates``.
+    """
+    key = (
+        "spectra",
+        tuple(int(b) for b in preamble_bits),
+        float(chip_rate),
+        float(sample_rate),
+        int(n_fft),
+    )
+
+    def compute():
+        template = preamble_template(preamble_bits, chip_rate, sample_rate)
+        return (
+            scipy.fft.rfft(_normalised(template)[::-1], n=n_fft),
+            scipy.fft.rfft(np.ones(len(template)), n=n_fft),
+        )
+
+    return get_cache("sync_templates").get_or_compute(key, compute)
+
+
 def preamble_correlation(
     modulation,
     preamble_bits,
@@ -159,24 +191,15 @@ def preamble_correlation(
 
     ``modulation`` should be a real, roughly zero-mean waveform (the
     backscatter modulation after carrier removal).  Output values near
-    +-1 mark template-aligned positions.
+    +-1 mark template-aligned positions.  The one-row call of
+    :func:`batched_preamble_correlation`.
     """
     x = np.asarray(modulation, dtype=float)
     if x.ndim != 1:
         raise ValueError("modulation must be one-dimensional")
-    template = preamble_template(preamble_bits, chip_rate, sample_rate)
-    if len(template) == 0 or len(x) < len(template):
-        raise ValueError("waveform shorter than the preamble")
-    t_norm = template / np.sqrt(np.sum(template**2))
-    # The sliding correlation and local-energy window are the two
-    # heaviest products in a decode (~40 M MACs each at 96 kHz when
-    # evaluated directly); smart_correlate routes them through
-    # overlap-add FFT convolution.
-    corr = smart_correlate(x, t_norm, mode="valid")
-    # Local energy normalisation so the metric is scale-free.
-    energy = smart_convolve(x**2, np.ones(len(template)), mode="valid")
-    corr = corr / np.sqrt(np.maximum(energy, 1e-30))
-    return corr
+    return batched_preamble_correlation(
+        x[None], preamble_bits, chip_rate, sample_rate
+    )[0]
 
 
 def batched_preamble_correlation(
@@ -187,13 +210,22 @@ def batched_preamble_correlation(
 ) -> np.ndarray:
     """:func:`preamble_correlation` over an (N, samples) stack of rows.
 
-    This is the fleet-wide sync/FM0 correlation of the batched engine:
-    every row is matched against the same FM0 preamble chip template in
-    one matrix convolution per stage.  Row *i* of the result is
-    bit-identical to ``preamble_correlation(modulations[i], ...)`` —
-    the elementwise square, the normalisation, and both convolutions
-    (via :func:`repro.perf.kernels.batched_convolve`) all preserve the
-    sequential arithmetic exactly.
+    Each row is correlated against the unit-energy preamble template
+    and divided by the square root of its local energy under the
+    template (the sum of ``x**2`` over the window), so the metric is
+    scale-free.  Both products run in the regime
+    :func:`repro.perf.kernels.convolution_regime` picks for the row
+    length and template length.  In the FFT regime — the receiver's
+    ~9k-sample segments — the stack and its square take one
+    rfft/irfft pair each against the two kernel spectra cached per
+    transform length (:func:`_template_spectra`), at scipy's
+    ``next_fast_len(n + m - 1)``, and keep the 'valid' samples
+    ``m - 1 .. n - 1``: :func:`scipy.signal.fftconvolve`'s arithmetic
+    without re-transforming the fixed kernels.  The direct and
+    overlap-add regimes call :func:`repro.perf.kernels.batched_correlate`
+    and :func:`~repro.perf.kernels.batched_convolve`.  Every regime
+    treats each row with the plan a lone row would get, so row *i* is
+    bit-identical to ``preamble_correlation(modulations[i], ...)``.
     """
     X = np.asarray(modulations, dtype=float)
     if X.ndim == 1:
@@ -201,11 +233,24 @@ def batched_preamble_correlation(
     if X.ndim != 2:
         raise ValueError("modulations must be 1-D or an (N, samples) stack")
     template = preamble_template(preamble_bits, chip_rate, sample_rate)
-    if len(template) == 0 or X.shape[-1] < len(template):
+    n, m = X.shape[-1], len(template)
+    if m == 0 or n < m:
         raise ValueError("waveform shorter than the preamble")
-    t_norm = template / np.sqrt(np.sum(template**2))
-    corr = batched_correlate(X, t_norm, mode="valid")
-    energy = batched_convolve(X**2, np.ones(len(template)), mode="valid")
+    if convolution_regime(n, m) == "fft":
+        n_fft = scipy.fft.next_fast_len(n + m - 1, real=True)
+        reversed_template, window = _template_spectra(
+            preamble_bits, chip_rate, sample_rate, n_fft
+        )
+        corr = scipy.fft.irfft(
+            scipy.fft.rfft(X, n=n_fft, axis=-1) * reversed_template,
+            n=n_fft, axis=-1,
+        )[:, m - 1 : n]
+        energy = scipy.fft.irfft(
+            scipy.fft.rfft(X**2, n=n_fft, axis=-1) * window, n=n_fft, axis=-1
+        )[:, m - 1 : n]
+    else:
+        corr = batched_correlate(X, _normalised(template), mode="valid")
+        energy = batched_convolve(X**2, np.ones(m), mode="valid")
     return corr / np.sqrt(np.maximum(energy, 1e-30))
 
 

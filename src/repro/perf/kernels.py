@@ -34,6 +34,24 @@ _OVERLAP_ADD_RATIO = 8.0
 _OVERLAP_ADD_MIN_LEN = 1 << 16
 
 
+def convolution_regime(n: int, m: int) -> str:
+    """``"direct"``, ``"fft"`` or ``"overlap-add"`` for operand lengths ``n``, ``m``.
+
+    The one dispatch rule of every convolution here and of the preamble
+    correlation (:func:`repro.dsp.sync.batched_preamble_correlation`),
+    which evaluates the FFT regime itself against cached spectra.
+    Empty operands count as direct, so ``np.convolve`` reports them.
+    """
+    if n == 0 or m == 0 or n * m <= _DIRECT_MAC_LIMIT or min(n, m) < 8:
+        return "direct"
+    if (
+        max(n, m) >= _OVERLAP_ADD_MIN_LEN
+        and max(n, m) / min(n, m) >= _OVERLAP_ADD_RATIO
+    ):
+        return "overlap-add"
+    return "fft"
+
+
 def smart_convolve(x, kernel, mode: str = "full") -> np.ndarray:
     """``np.convolve(x, kernel, mode)`` with auto-selected evaluation.
 
@@ -46,15 +64,10 @@ def smart_convolve(x, kernel, mode: str = "full") -> np.ndarray:
     kernel = np.asarray(kernel)
     if x.ndim != 1 or kernel.ndim != 1:
         raise ValueError("smart_convolve operates on 1-D arrays")
-    if len(x) == 0 or len(kernel) == 0:
+    regime = convolution_regime(len(x), len(kernel))
+    if regime == "direct":
         return np.convolve(x, kernel, mode=mode)
-    n, m = len(x), len(kernel)
-    if n * m <= _DIRECT_MAC_LIMIT or min(n, m) < 8:
-        return np.convolve(x, kernel, mode=mode)
-    if (
-        max(n, m) >= _OVERLAP_ADD_MIN_LEN
-        and max(n, m) / min(n, m) >= _OVERLAP_ADD_RATIO
-    ):
+    if regime == "overlap-add":
         return oaconvolve(x, kernel, mode=mode)
     return fftconvolve(x, kernel, mode=mode)
 
@@ -97,15 +110,10 @@ def batched_convolve(xs, kernel, mode: str = "full") -> np.ndarray:
         return smart_convolve(xs, kernel, mode=mode)
     if xs.ndim != 2 or kernel.ndim != 1:
         raise ValueError("batched_convolve wants (N, samples) x 1-D kernel")
-    n, m = xs.shape[-1], len(kernel)
-    if n == 0 or m == 0:
+    regime = convolution_regime(xs.shape[-1], len(kernel))
+    if regime == "direct":
         return np.stack([np.convolve(row, kernel, mode=mode) for row in xs])
-    if n * m <= _DIRECT_MAC_LIMIT or min(n, m) < 8:
-        return np.stack([np.convolve(row, kernel, mode=mode) for row in xs])
-    if (
-        max(n, m) >= _OVERLAP_ADD_MIN_LEN
-        and max(n, m) / min(n, m) >= _OVERLAP_ADD_RATIO
-    ):
+    if regime == "overlap-add":
         return oaconvolve(xs, kernel[None, :], mode=mode, axes=-1)
     return fftconvolve(xs, kernel[None, :], mode=mode, axes=-1)
 

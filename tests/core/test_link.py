@@ -412,3 +412,36 @@ class TestReradiationFilter:
         assert 0.0 < response[1] < 1e-3
         out = apply_reradiation_filter(np.full(4_800, 3.0), transducer, f, fs)
         assert np.max(np.abs(out)) < 1e-12
+
+
+class TestSharedReradiationResponse:
+    """Links whose nodes carry equal transducers share one response vector."""
+
+    def test_equal_transducers_share_and_others_do_not(self):
+        from repro.piezo.cylinder import design_cylinder_transducer
+
+        a, b = make_link(), make_link(node_distance=0.6)
+        assert a.node.transducer is not b.node.transducer
+        n = 5_400
+        shared = a._reradiation_response(n)
+        assert b._reradiation_response(n) is shared
+        assert not shared.flags.writeable
+        other = make_link()
+        other.node.transducer = Transducer.from_cylinder_design(
+            design_cylinder_transducer(in_water_q=8.0)
+        )
+        assert other.node.transducer.bvd.params != a.node.transducer.bvd.params
+        own = other._reradiation_response(n)
+        assert own is not shared and not np.array_equal(own, shared)
+        assert a._reradiation_response(n + 2) is not shared
+
+    def test_no_leg_memo_holds_a_response(self):
+        from repro.perf.cache import caching_disabled
+
+        link = make_link(bitrate=2_000.0)
+        assert link.run_query(PING).success
+        assert not [key for key in link._leg_memo._data if key[0] == "rerad_response"]
+        cached = link._reradiation_response(5_400)
+        with caching_disabled():
+            fresh = link._reradiation_response(5_400)
+        assert fresh is not cached and fresh.tobytes() == cached.tobytes()

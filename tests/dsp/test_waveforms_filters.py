@@ -230,3 +230,55 @@ class TestFrontEndIdentity:
         inline = 2.0 * x * np.exp(-1j * TWO_PI * carrier * n / FS)
         for _ in range(2):  # a cache miss, then a hit
             assert downconvert(x, carrier, FS).tobytes() == inline.tobytes()
+
+    @staticmethod
+    def _designs():
+        """``(filter call, sos)`` for the two Butterworth forms."""
+        from scipy import signal
+
+        return [
+            (
+                lambda x: butter_lowpass(x, 4_000.0, FS),
+                signal.butter(4, 4_000.0, btype="low", fs=FS, output="sos"),
+            ),
+            (
+                lambda x: butter_bandpass(x, 12_000.0, 18_000.0, FS, order=2),
+                signal.butter(
+                    2, [12_000.0, 18_000.0], btype="band", fs=FS, output="sos"
+                ),
+            ),
+        ]
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_inputs_no_longer_than_padlen_raise_scipys_error(self, rows, complex_):
+        """Both designs pad by 15 samples: lengths 0-15 raise scipy's own
+        ``ValueError``, longer inputs filter as scipy does."""
+        for call, sos in self._designs():
+            short = 0
+            for length in range(40):
+                x = self._inputs(length, rows, length, complex_)
+                try:
+                    expected = self._reference(sos, x)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as raised:
+                        call(x)
+                    assert str(raised.value) == str(exc)
+                    short += 1
+                else:
+                    assert call(x).tobytes() == expected.tobytes()
+            assert short == 16
+
+    def test_a_second_call_hits_the_cached_design(self):
+        from repro.perf.cache import get_cache
+
+        cache = get_cache("fir_kernels")
+        cache.clear()
+        x = self._inputs(3, 2, 1_500, True)
+        for call, sos in self._designs():
+            first = call(x)
+            hits = cache.hits
+            second = call(x)
+            assert cache.hits == hits + 1
+            assert second.tobytes() == first.tobytes()
+            assert first.tobytes() == self._reference(sos, x).tobytes()

@@ -170,6 +170,28 @@ class TestDemodulateRows:
                 dem.demodulate(row)
             assert str(raised.value) == str(result)
 
+    def test_a_non_finite_row_fails_alone(self):
+        """A NaN row fails as a decode; its neighbours are their one-row calls."""
+        segments = []
+        for link in _group()[::2]:
+            link.node.force_power(True)
+            chips = link.node.uplink_chips(link.node.respond(QUERY))
+            carrier = link._carrier_leg(QUERY, len(chips), BITRATE, 0)
+            segments.append(link._record_tail(link._uplink_leg(carrier, chips, BITRATE)))
+        n = min(map(len, segments))
+        bad = segments[0][:n].copy()
+        bad[n // 2] = np.nan
+        stack = np.stack([segments[0][:n], bad, segments[1][:n]])
+        dem = self._demodulator()
+        first, middle, last = dem.demodulate_rows(stack)
+        assert _same_demod(first, dem.demodulate(stack[0]))
+        assert _same_demod(last, dem.demodulate(stack[2]))
+        assert first.success and last.success
+        assert middle.packet is None and "non-finite" in middle.error
+        bad[n // 2] = np.inf
+        result = dem.demodulate(bad)
+        assert result.packet is None and "non-finite" in result.error
+
     def test_group_shorter_than_the_preamble(self):
         dem = self._demodulator()
         stack = np.random.default_rng(6).normal(size=(3, 200))
