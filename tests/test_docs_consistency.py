@@ -64,3 +64,29 @@ def test_design_lists_all_subpackages():
     for sub in ("acoustics", "piezo", "circuits", "dsp", "sensing", "node",
                 "net", "core"):
         assert f"{sub}/" in design
+
+
+def test_fig8_table_matches_the_committed_csv():
+    """EXPERIMENTS.md's measured Fig. 8 SNRs are the committed CSV's means."""
+    import csv
+
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split("## Fig. 8", 1)[1].split("\n## ", 1)[0]
+    table = {
+        float(rate): float(measured)
+        for rate, measured in re.findall(
+            r"^\| (\d+) \| [^|]+ \| (-?\d+(?:\.\d+)?) \|$", section, re.M
+        )
+    }
+    with open(ROOT / "benchmarks" / "results" / "fig8_snr_bitrate.csv") as fh:
+        means = {
+            float(row["bitrate_bps"]): float(row["snr_db_mean"])
+            for row in csv.DictReader(fh)
+        }
+    assert len(table) >= 5
+    wrong = {
+        rate: (snr, means.get(rate))
+        for rate, snr in table.items()
+        if rate not in means or abs(snr - means[rate]) > 0.1
+    }
+    assert not wrong, f"Fig. 8 rows disagree with the CSV: {wrong}"
