@@ -20,6 +20,7 @@ from repro.circuits.matching import (
     enumerate_l_matches,
 )
 from repro.circuits.rectifier import MultiStageRectifier
+from repro.perf.cache import get_cache
 from repro.piezo.transducer import Transducer
 
 
@@ -89,7 +90,18 @@ class EnergyHarvester:
             raise ValueError("design frequency must be positive")
         self.design_frequency_hz = design_frequency_hz
         if matching_network is None:
-            matching_network = self._select_network(design_frequency_hz)
+            # The design reads the transducer's BVD elements and receive
+            # sensitivity, the rectifier's input resistance and the
+            # channel, so equal nodes share one (frozen) network.
+            matching_network = get_cache("matching_networks").get_or_compute(
+                (
+                    transducer.bvd.params,
+                    transducer.ocv_db,
+                    self.rectifier.input_resistance_ohm,
+                    design_frequency_hz,
+                ),
+                lambda: self._select_network(design_frequency_hz),
+            )
         self.matching_network = matching_network
 
     def _select_network(self, design_frequency_hz: float) -> MatchingNetwork:

@@ -309,6 +309,22 @@ def _cmd_energy(args) -> int:
     return 0 if error_pct < 1.0 else 1
 
 
+class _StubDemod:
+    """The demodulation half of a stub transport's result."""
+
+    def __init__(self, packet):
+        self.packet = packet
+        self.success = True
+
+
+class _StubResult:
+    """A stub transport's link result: the reply's packet, delivered."""
+
+    def __init__(self, packet):
+        self.success = True
+        self.demod = _StubDemod(packet)
+
+
 def _build_chaos_fleet(n_nodes: int, seed: int, log, inject_noise=None):
     """Seeded stub transports + injectors + energy harnesses for
     ``fleet-report``: a deterministic miniature of a deployed fleet
@@ -328,13 +344,6 @@ def _build_chaos_fleet(n_nodes: int, seed: int, log, inject_noise=None):
     )
     from repro.net import Command, Response
     from repro.obs import NodeEnergyHarness
-
-    class _StubResult:
-        def __init__(self, packet):
-            self.success = True
-            self.demod = type("Demod", (), {})()
-            self.demod.packet = packet
-            self.demod.success = True
 
     def stub(address):
         def transact(query):

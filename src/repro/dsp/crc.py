@@ -31,16 +31,32 @@ def crc8(data, *, polynomial: int = 0x07, init: int = 0x00) -> int:
     return crc
 
 
-def crc16_ccitt(data, *, init: int = 0xFFFF) -> int:
-    """CRC-16/CCITT-FALSE of a byte string (EPC Gen2 / XMODEM family)."""
-    crc = init
-    for byte in _to_bytes(data):
-        crc ^= byte << 8
+def _crc16_table() -> tuple[int, ...]:
+    """The CRC-16/CCITT remainder of each byte value shifted to the top."""
+    table = []
+    for byte in range(256):
+        crc = byte << 8
         for _ in range(8):
             if crc & 0x8000:
                 crc = ((crc << 1) ^ 0x1021) & 0xFFFF
             else:
                 crc = (crc << 1) & 0xFFFF
+        table.append(crc)
+    return tuple(table)
+
+
+_CRC16_TABLE = _crc16_table()
+
+
+def crc16_ccitt(data, *, init: int = 0xFFFF) -> int:
+    """CRC-16/CCITT-FALSE of a byte string (EPC Gen2 / XMODEM family).
+
+    Table-driven: each byte's eight shift-and-xor steps are one lookup
+    of the high byte xor the data byte (the steps are linear over GF(2)).
+    """
+    crc = init
+    for byte in _to_bytes(data):
+        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]
     return crc
 
 

@@ -39,14 +39,15 @@ def fm0_encode(bits, *, initial_level: int = 1) -> np.ndarray:
     data = _as_bit_array(bits)
     if initial_level not in (0, 1):
         raise ValueError("initial level must be 0 or 1")
+    # Bit i's first chip follows i boundary inversions and one mid-bit
+    # inversion per earlier '0' bit, then inverts at its own boundary;
+    # a '0' inverts again for the second chip.
+    zeros = (data == 0).astype(np.int8)
+    zeros_before = np.cumsum(zeros) - zeros
+    first = ((np.arange(len(data)) + zeros_before) & 1) ^ (initial_level ^ 1)
     chips = np.empty(2 * len(data), dtype=np.int8)
-    level = initial_level
-    for i, bit in enumerate(data):
-        level ^= 1  # invert at the bit boundary
-        chips[2 * i] = level
-        if bit == 0:
-            level ^= 1  # additional mid-bit inversion for '0'
-        chips[2 * i + 1] = level
+    chips[0::2] = first
+    chips[1::2] = first ^ zeros
     return chips
 
 

@@ -8,6 +8,29 @@ from repro.constants import TWO_PI
 from repro.perf.cache import get_cache
 
 
+def _unit_carrier(
+    frequency_hz: float,
+    sample_rate: float,
+    n_samples: int,
+    phase_rad: float = 0.0,
+) -> np.ndarray:
+    """``sin(2*pi*f*t + phase)`` at ``t = arange(n_samples) / fs``, read-only.
+
+    A pure function of (carrier, rate, phase) cut to a length, so it is
+    the first ``n_samples`` of one array per (carrier, rate, phase) in
+    the ``unit_carriers`` cache: ``arange / fs``, the product, the sum
+    and ``sin`` are elementwise, so the slice equals the array computed
+    at ``n_samples`` bit for bit (:meth:`repro.perf.cache.LRUCache.get_prefix`).
+    """
+    return get_cache("unit_carriers", maxsize=8).get_prefix(
+        (float(frequency_hz), float(sample_rate), float(phase_rad)),
+        n_samples,
+        lambda n: np.sin(
+            TWO_PI * frequency_hz * (np.arange(n) / sample_rate) + phase_rad
+        ),
+    )
+
+
 def tone(
     frequency_hz: float,
     duration_s: float,
@@ -22,8 +45,7 @@ def tone(
     if duration_s < 0:
         raise ValueError("duration must be non-negative")
     n = int(round(duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
-    return amplitude * np.sin(TWO_PI * frequency_hz * t + phase_rad)
+    return amplitude * _unit_carrier(frequency_hz, sample_rate, n, phase_rad)
 
 
 def amplitude_modulated_carrier(
@@ -39,8 +61,7 @@ def amplitude_modulated_carrier(
         raise ValueError("envelope must be one-dimensional")
     if frequency_hz <= 0 or sample_rate <= 0:
         raise ValueError("frequency and sample rate must be positive")
-    t = np.arange(len(env)) / sample_rate
-    return env * np.sin(TWO_PI * frequency_hz * t + phase_rad)
+    return env * _unit_carrier(frequency_hz, sample_rate, len(env), phase_rad)
 
 
 def upconvert_chips(
@@ -87,20 +108,20 @@ def downconvert(
     Accepts a 1-D waveform or an (N, samples) stack mixed along the last
     axis; the complex oscillator is computed once and broadcast across
     rows, so batched mixing is bit-identical to row-at-a-time mixing.
-    The oscillator is a pure function of (length, carrier, rate), so it
-    comes read-only from the ``oscillators`` cache: a receiver mixes
-    every recording of one link at the same length.
+    The oscillator is a pure function of (carrier, rate) cut to the
+    recording's length, so it is the first ``len`` samples of one
+    read-only array per (carrier, rate) in the ``oscillators`` cache
+    (see :func:`_unit_carrier`): a receiver mixes every recording at its
+    channel's carrier, whatever the recording's length.
     """
     x = np.asarray(waveform, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("waveform must be 1-D or an (N, samples) stack")
     if carrier_hz <= 0 or sample_rate <= 0:
         raise ValueError("carrier and sample rate must be positive")
-    n_samples = x.shape[-1]
-    oscillator = get_cache("oscillators").get_or_compute(
-        (n_samples, float(carrier_hz), float(sample_rate)),
-        lambda: np.exp(
-            -1j * TWO_PI * carrier_hz * np.arange(n_samples) / sample_rate
-        ),
+    oscillator = get_cache("oscillators", maxsize=8).get_prefix(
+        (float(carrier_hz), float(sample_rate)),
+        x.shape[-1],
+        lambda n: np.exp(-1j * TWO_PI * carrier_hz * np.arange(n) / sample_rate),
     )
     return 2.0 * x * oscillator

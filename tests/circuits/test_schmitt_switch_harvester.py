@@ -12,7 +12,9 @@ from repro.circuits import (
     design_l_match,
 )
 from repro.constants import PEAK_RECTIFIED_V, POWER_UP_THRESHOLD_V
+from repro.perf import caching_disabled
 from repro.piezo import Transducer
+from repro.piezo.cylinder import design_cylinder_transducer
 
 
 class TestSchmittTrigger:
@@ -197,3 +199,40 @@ class TestEnergyHarvester:
         harvester, t = make_harvester()
         with pytest.raises(ValueError):
             harvester.operating_point(-1.0, t.resonance_hz)
+
+
+class TestSharedMatchingNetwork:
+    """Equal nodes share one designed network (the ``matching_networks`` cache)."""
+
+    def test_equal_nodes_share_the_network(self):
+        a = EnergyHarvester(Transducer.from_cylinder_design())
+        b = EnergyHarvester(Transducer.from_cylinder_design())
+        assert a.matching_network is b.matching_network
+
+    def test_other_bvd_sensitivity_load_or_channel_designs_its_own(self):
+        t = Transducer.from_cylinder_design()
+        base = EnergyHarvester(t)
+        others = [
+            EnergyHarvester(
+                Transducer.from_cylinder_design(
+                    design_cylinder_transducer(in_water_q=8.0)
+                )
+            ),
+            EnergyHarvester(Transducer(bvd=t.bvd, ocv_db=-170.0)),
+            EnergyHarvester(t, MultiStageRectifier(input_resistance_ohm=3_000.0)),
+            EnergyHarvester(t, design_frequency_hz=18_000.0),
+        ]
+        for harvester in others:
+            assert harvester.matching_network is not base.matching_network
+        for harvester in [base, *others]:
+            with caching_disabled():
+                fresh = harvester._select_network(harvester.design_frequency_hz)
+            assert harvester.matching_network == fresh
+
+    def test_caching_disabled_recomputes(self):
+        t = Transducer.from_cylinder_design()
+        with caching_disabled():
+            a = EnergyHarvester(t)
+            b = EnergyHarvester(t)
+        assert a.matching_network is not b.matching_network
+        assert a.matching_network == b.matching_network

@@ -243,6 +243,18 @@ class TestFleetReportCommand:
 
         assert run("a.jsonl") == run("b.jsonl")
 
+    def test_stub_results_share_one_demod_type(self):
+        from repro.cli import _build_chaos_fleet
+        from repro.faults import EventLog
+        from repro.net import Command, Query
+
+        # Nodes 4 and 8 are clean stubs behind no injector.
+        transports, _ = _build_chaos_fleet(8, 7, EventLog())
+        a = transports[4](Query(destination=4, command=Command.PING))
+        b = transports[8](Query(destination=8, command=Command.READ_TEMPERATURE))
+        assert a.demod.packet.address == 4 and b.demod.packet.address == 8
+        assert type(a.demod) is type(b.demod)
+
 
 class TestStreamingCli:
     """``--stream-out`` / ``--serve-port`` / ``repro tail`` end to end."""
