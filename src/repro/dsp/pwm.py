@@ -98,7 +98,10 @@ class PWMCode:
 def pwm_encode(bits, code: PWMCode, sample_rate: float) -> np.ndarray:
     """On/off keying envelope (values 0/1) for a bit sequence.
 
-    The projector multiplies this envelope by its carrier.
+    The projector multiplies this envelope by its carrier.  Each symbol
+    is an ``on`` run of ones and a ``gap`` run of zeros, each rounded to
+    whole samples (at least one), so the envelope is the alternating
+    values 1, 0 repeated by the per-symbol run lengths.
     """
     if sample_rate <= 0:
         raise ValueError("sample rate must be positive")
@@ -107,14 +110,14 @@ def pwm_encode(bits, code: PWMCode, sample_rate: float) -> np.ndarray:
         raise ValueError("bits must be one-dimensional")
     if data.size and not np.all((data == 0) | (data == 1)):
         raise ValueError("bits must be 0 or 1")
-    chunks = []
-    for bit in data:
-        on = code.long_s if bit else code.short_s
-        chunks.append(np.ones(max(int(round(on * sample_rate)), 1)))
-        chunks.append(np.zeros(max(int(round(code.gap_s * sample_rate)), 1)))
-    if not chunks:
-        return np.zeros(0)
-    return np.concatenate(chunks)
+    short, long_, gap = (
+        max(int(round(duration * sample_rate)), 1)
+        for duration in (code.short_s, code.long_s, code.gap_s)
+    )
+    runs = np.empty(2 * len(data), dtype=np.intp)
+    runs[0::2] = np.where(data == 1, long_, short)
+    runs[1::2] = gap
+    return np.repeat(np.tile([1.0, 0.0], len(data)), runs)
 
 
 def pwm_decode_edges(

@@ -57,6 +57,28 @@ class TestEncode:
         with pytest.raises(ValueError):
             pwm_encode([1], CODE, 0.0)
 
+    @given(
+        bits=st.lists(st.integers(0, 1), max_size=200),
+        dtype=st.sampled_from([np.int8, np.int64, bool, float]),
+        code=st.sampled_from([CODE, PWMCode(), PWMCode(1e-5, 3e-5, 2e-6)]),
+        sample_rate=st.sampled_from([FS, 44_100.0, 192_000.0, 7_777.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_symbol_loop(self, bits, dtype, code, sample_rate):
+        """Byte-equal to the per-symbol concatenation it replaced,
+        including on/gap runs that round below one sample."""
+        data = np.array(bits, dtype=dtype)
+        chunks = []
+        for bit in data:
+            on = code.long_s if bit else code.short_s
+            chunks.append(np.ones(max(int(round(on * sample_rate)), 1)))
+            chunks.append(np.zeros(max(int(round(code.gap_s * sample_rate)), 1)))
+        want = np.concatenate(chunks) if chunks else np.zeros(0)
+        got = pwm_encode(data, code, sample_rate)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert len(got) == code.frame_samples(data, sample_rate)
+
 
 class TestDecode:
     @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=32))
