@@ -16,10 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from repro.acoustics.geometry import Position, Tank
-from repro.acoustics.multipath import ImageSourceModel, Path
+from repro.acoustics.multipath import (
+    ImageSourceModel,
+    Path,
+    coherent_gain,
+    power_sum_gain,
+)
 from repro.acoustics.noise import AmbientNoiseModel
 from repro.constants import NOMINAL_SOUND_SPEED
 from repro.perf.cache import get_cache
@@ -131,17 +136,26 @@ class AcousticChannel:
         return self.source.distance_to(self.receiver)
 
     def gain_at(self, frequency_hz: float | None = None) -> complex:
-        """Complex narrowband gain H(f) including multipath."""
+        """Complex narrowband gain H(f) including multipath.
+
+        Summed over the held paths, the model's own enumeration in its
+        order, so this is :meth:`ImageSourceModel.channel_gain_at` bit
+        for bit without enumerating the image lattice again.
+        """
         f = self.frequency_hz if frequency_hz is None else frequency_hz
-        return self._model.channel_gain_at(self.source, self.receiver, f)
+        return coherent_gain(self._paths, f)
 
     def magnitude_gain(self, frequency_hz: float | None = None) -> float:
         """|H(f)| — linear pressure gain relative to source level at 1 m."""
         return abs(self.gain_at(frequency_hz))
 
     def incoherent_gain(self) -> float:
-        """Power-sum gain sqrt(sum |g_i|^2) — used for energy budgets."""
-        return self._model.rms_gain(self.source, self.receiver)
+        """Power-sum gain sqrt(sum |g_i|^2) — used for energy budgets.
+
+        Summed over the held paths: :meth:`ImageSourceModel.rms_gain`
+        bit for bit.
+        """
+        return power_sum_gain(self._paths)
 
     def transmission_loss_db(self, frequency_hz: float | None = None) -> float:
         """Effective TL [dB] including coherent multipath gain."""
@@ -151,17 +165,46 @@ class AcousticChannel:
         return -20.0 * float(np.log10(g))
 
     @staticmethod
+    def spectra(channels, waveforms) -> np.ndarray:
+        """The propagation of an (N, samples) stack, row i through ``channels[i]``, as spectra.
+
+        Row i is ``rfft(waveforms[i]) * rfft(h_i)``, ``h_i`` the
+        channel's impulse response, at ``next_fast_len(n, real=True)``
+        points for the linear convolution's length ``n``: the spectrum
+        whose inverse real transform, cut to ``n``, is the propagated
+        row (:meth:`propagate`).  Every propagation runs through this
+        entry point.  The transforms run stacked along the last axis,
+        and pocketfft transforms each row with the plan a lone 1-D call
+        would use.  The channels' impulse responses must share one
+        length.
+        """
+        waveforms = np.asarray(waveforms, dtype=float)
+        irs = stack_rows([channel._impulse for channel in channels])
+        fast = [scipy.fft.next_fast_len(
+            waveforms.shape[-1] + irs.shape[-1] - 1, True
+        )]
+        return (
+            scipy.fft.rfftn(waveforms, fast, axes=[-1])
+            * scipy.fft.rfftn(irs, fast, axes=[-1])
+        )
+
+    @staticmethod
     def propagate(channels, waveforms) -> np.ndarray:
         """Noise-free propagation of an (N, samples) stack, row i through ``channels[i]``.
 
-        One ``fftconvolve`` over the stack along the last axis: pocketfft
-        transforms each row with the plan a lone 1-D call would use, so
-        row i equals ``channels[i].apply(waveforms[i],
-        include_noise=False).waveform`` bit for bit.  The channels'
-        impulse responses must share one length.
+        The inverse of :meth:`spectra`, cut to the linear convolution's
+        length: ``fftconvolve(waveforms, irs, axes=-1)``'s transforms in
+        its order, so row i equals ``fftconvolve(waveforms[i], h_i)``
+        bit for bit (for rows of two samples or more: ``fftconvolve``
+        multiplies a one-sample row directly, which agrees to rounding).
+        The channels' impulse responses must share one length.
         """
-        irs = stack_rows([channel._impulse for channel in channels])
-        return fftconvolve(np.asarray(waveforms, dtype=float), irs, axes=-1)
+        waveforms = np.asarray(waveforms, dtype=float)
+        n = waveforms.shape[-1] + len(channels[0]._impulse) - 1
+        fast = [scipy.fft.next_fast_len(n, True)]
+        return scipy.fft.irfftn(
+            AcousticChannel.spectra(channels, waveforms), fast, axes=[-1]
+        )[..., :n].copy()
 
     def apply(
         self,

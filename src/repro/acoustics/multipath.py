@@ -218,10 +218,7 @@ class ImageSourceModel:
         self, source: Position, receiver: Position, frequency_hz: float
     ) -> complex:
         """Complex narrowband channel gain H(f) at one frequency."""
-        acc = 0.0 + 0.0j
-        for p in self.paths(source, receiver):
-            acc += p.gain * np.exp(-2j * math.pi * frequency_hz * p.delay_s)
-        return acc
+        return coherent_gain(self.paths(source, receiver), frequency_hz)
 
     def rms_gain(self, source: Position, receiver: Position) -> float:
         """Incoherent (power-sum) channel gain sqrt(sum |g_i|^2).
@@ -231,4 +228,22 @@ class ImageSourceModel:
         tank the arrival phases decorrelate (rough walls, drift), so the
         deterministic coherent sum of the image model would over- or
         under-state long-range harvesting at specific spots."""
-        return math.sqrt(sum(p.gain**2 for p in self.paths(source, receiver)))
+        return power_sum_gain(self.paths(source, receiver))
+
+
+def coherent_gain(paths, frequency_hz: float) -> complex:
+    """Narrowband gain H(f) = sum g_i exp(-j 2 pi f tau_i) over ``paths``, in order.
+
+    A caller that holds :meth:`ImageSourceModel.paths`' list gets
+    :meth:`ImageSourceModel.channel_gain_at` bit for bit without
+    enumerating the image lattice again.
+    """
+    acc = 0.0 + 0.0j
+    for p in paths:
+        acc += p.gain * np.exp(-2j * math.pi * frequency_hz * p.delay_s)
+    return acc
+
+
+def power_sum_gain(paths) -> float:
+    """Incoherent gain sqrt(sum |g_i|^2) over ``paths``, in order."""
+    return math.sqrt(sum(p.gain**2 for p in paths))

@@ -162,9 +162,31 @@ class EnergyHarvester:
         AC amplitude at the rectifier and the delivered power.  The
         electrical tuning of the recto-piezo and the mechanical bandpass
         therefore compose exactly as in the paper.
+
+        The chain reads the stimulus, the transducer's BVD element values
+        and receive sensitivity, the (frozen) network and the (frozen)
+        rectifier, so each stimulus is solved once per harvester design
+        in the process-wide ``operating_points`` cache: a node re-checks
+        its power-up on every exchange.
         """
         if incident_pressure_pa < 0:
             raise ValueError("pressure must be non-negative")
+        return get_cache("operating_points", maxsize=1024).get_or_compute(
+            (
+                incident_pressure_pa,
+                frequency_hz,
+                self.transducer.bvd.params,
+                self.transducer.ocv_db,
+                self.matching_network,
+                self.rectifier,
+            ),
+            lambda: self._solve(incident_pressure_pa, frequency_hz),
+        )
+
+    def _solve(
+        self, incident_pressure_pa: float, frequency_hz: float
+    ) -> HarvestOperatingPoint:
+        """:meth:`operating_point`, computed."""
         z_s = self.transducer.impedance(frequency_hz)
         v_oc = float(
             self.transducer.open_circuit_voltage(incident_pressure_pa, frequency_hz)

@@ -958,15 +958,17 @@ def _cmd_diff(args) -> int:
 
 
 #: Stage name -> (module, class, method) patched by ``bench --inject``.
-#: Both propagation stages run through the stacked channel convolution.
+#: Both propagation stages run through the channel's spectrum entry
+#: point: ``AcousticChannel.propagate`` inverts it, and the carrier leg
+#: builds its analytic incident from it directly.
 _INJECT_TARGETS = {
     "link.pwm_synthesis": ("repro.core.projector", "Projector", "query_waveform"),
     "link.downlink_propagation": (
-        "repro.acoustics.channel", "AcousticChannel", "propagate",
+        "repro.acoustics.channel", "AcousticChannel", "spectra",
     ),
     "link.node": ("repro.circuits.schmitt", "SchmittTrigger", "process"),
     "link.uplink_propagation": (
-        "repro.acoustics.channel", "AcousticChannel", "propagate",
+        "repro.acoustics.channel", "AcousticChannel", "spectra",
     ),
     "link.hydrophone_dsp": ("repro.dsp.demod", "BackscatterDemodulator", "demodulate"),
 }
@@ -1054,7 +1056,7 @@ def _bench_campaign(nodes: int, rounds: int, seed: int, bitrate: float,
                     parallel: int | str,
                     kill_at: tuple[int, int] | None = None,
                     transports=None, reader_sink: list | None = None):
-    """One timed campaign on a fresh fleet; returns ``(seconds, digest)``.
+    """One timed campaign on a fresh fleet; returns ``(seconds, digest, report)``.
 
     The digest (:func:`repro.resilience.campaign_digest`) covers the
     campaign report, the event log, and the metrics exposition, so two

@@ -32,6 +32,10 @@ reflection only over its reply window.  So the carrier leg propagates
 the node idling throughout once, and each reply re-radiates and
 propagates only its change over the guarded window, added to that idle
 mixture: the same sum as a whole-waveform computation up to rounding.
+The hydrophone analyses only the mixture's last samples, so the carrier
+leg computes only the analytic incident at full length, straight from
+the downlink's propagation spectrum, and the direct arrival and the
+idle reflection only over the window the analysed samples read.
 Transforms run at fast FFT lengths (:func:`_fast_len`), zero-padded and
 cut back.
 """
@@ -128,9 +132,12 @@ def _rms(x) -> float:
     return float(np.sqrt(np.mean(x**2))) if len(x) else 0.0
 
 
-#: Zero samples on each side of the reply window's change
-#: (:meth:`BackscatterLink._reply_change`).  The re-radiation filter
-#: rings for far fewer samples, so its circular wrap lands on silence.
+#: Guard samples on each side of a windowed re-radiation: zeros around
+#: the reply window's change (:meth:`BackscatterLink._reply_change`),
+#: and the lead-in and trailing zeros of the carrier leg's idle window
+#: (:meth:`BackscatterLink._carrier_from_spectrum`).  The re-radiation
+#: filter rings for far fewer samples, so its circular wrap lands on
+#: silence and a cut's transient dies out before the samples kept.
 REPLY_GUARD = 1_024
 
 
@@ -272,57 +279,45 @@ def _envelope(links, incident) -> np.ndarray:
     )
 
 
+def _analytic(spectrum, n: int) -> np.ndarray:
+    """The analytic signal of a length-``n`` waveform, from its ``rfft`` ``spectrum``.
+
+    ``spectrum`` is the waveform's ``rfft`` at ``n``'s fast length
+    (:func:`_fast_len`).  It is made one-sided in place (the positive
+    bins doubled; DC and, at an even length, Nyquist kept) and inverted
+    by one complex transform at that length, cut to ``n``: the
+    waveform's ``hilbert(x, N=fast)[:n]`` up to rounding, for a
+    waveform that is zero past ``n``, as a linear convolution is.
+    """
+    fast = _fast_len(n)
+    spectrum[1 : (fast + 1) // 2] *= 2.0
+    return scipy.fft.ifft(spectrum, fast)[:n]
+
+
 def _carrier_legs(
     links, tx, rows, stage=_untraced, probes=_UNPROBED
 ) -> list[CarrierLeg]:
     """The :class:`CarrierLeg` of each row's query-then-carrier ``tx``.
 
     ``rows[i]`` is ``(uplink_start, n_chips, bitrate, mode)`` for row i.
-    The node idles in the absorptive state of its mode throughout: its
-    reflection of the analytic incident is re-radiated, dilated by a
-    drifting node's Doppler and propagated to the hydrophone, where it
-    mixes with the direct carrier.  This is the one whole-waveform
-    re-radiation, paid once per carrier.  The channel convolutions and
-    the re-radiation run stacked; the analytic (Hilbert) transform, at
-    the incident's fast length and cut back, and the cut to a slim leg
-    run per row.  ``stage(name, **attrs)`` opens each stage's span;
-    ``probes`` receives the ``incident_carrier`` tap.
+    The incident's propagation spectrum (:meth:`AcousticChannel.spectra`,
+    times the beam gain) is computed stacked; each row's leg is then
+    built from its spectrum row by
+    :meth:`BackscatterLink._carrier_from_spectrum`, whose windows come
+    from that row's own offsets and impulse responses, so row i is its
+    one-row call bit for bit.  ``stage(name, **attrs)`` opens each
+    stage's span; ``probes`` receives the ``incident_carrier`` tap.
     """
-    samples = tx.shape[-1]
-    with stage("link.downlink_propagation", segment="carrier", samples=samples):
-        incident = _incident(links, tx)
-    if probes.wants("link.downlink_propagation"):
-        for link, row in zip(links, incident):
-            fs = link.sample_rate
-            probes.capture(
-                "link.downlink_propagation", "incident_carrier",
-                waveform=row, sample_rate=fs, segment="carrier",
-                band_snr_db=band_snr_db(row, fs, *link._node_band()),
-            )
-    with stage("link.uplink_propagation", segment="direct", samples=samples):
-        direct = _direct(links, tx)
-    n = incident.shape[-1]
-    with stage("link.node", phase="backscatter", segment="carrier"):
-        analytic = [hilbert(row, N=_fast_len(n))[:n] for row in incident]
-        # The idle state of the row's mode, never read from the node:
-        # the batched engine builds legs for predicted exchanges.
-        gammas = [
-            link.node.bank.reflection_states(mode, link.projector.carrier_hz)[0]
-            for link, (_start, _chips, _bitrate, mode) in zip(links, rows)
-        ]
-        idle = _reradiate(links, stack_rows([
-            np.real(gamma_a * row) for gamma_a, row in zip(gammas, analytic)
-        ]))
-        _dilate(links, idle, [0] * len(links), [n] * len(links))
-    with stage("link.uplink_propagation", segment="idle", samples=n):
-        uplinks = AcousticChannel.propagate(
-            [link.ch_node_hydrophone for link in links], idle
+    with stage(
+        "link.downlink_propagation", segment="carrier", samples=tx.shape[-1]
+    ):
+        spectra = AcousticChannel.spectra(
+            [link.ch_projector_node for link in links], tx
         )
+        spectra *= np.array([link.beam_gain_node for link in links])[:, None]
     return [
-        link._slim_carrier(a, gamma_a, d, u, start, n_chips, bitrate)
-        for link, a, gamma_a, d, u, (start, n_chips, bitrate, _mode) in zip(
-            links, analytic, gammas, direct, uplinks, rows
-        )
+        link._carrier_from_spectrum(spectrum, row_tx, *row, stage, probes)
+        for link, spectrum, row_tx, row in zip(links, spectra, tx, rows)
     ]
 
 
@@ -863,40 +858,92 @@ class BackscatterLink:
         uplink_s = n_chips / (2.0 * bitrate) + self.UPLINK_MARGIN_S
         return self.projector.query_then_carrier(query, uplink_s, self.sample_rate)
 
-    def _slim_carrier(
+    def _carrier_from_spectrum(
         self,
-        analytic,
-        gamma_a: complex,
-        direct,
-        uplink,
+        spectrum,
+        tx,
         uplink_start: int,
         n_chips: int,
         bitrate: float,
+        mode: int,
+        stage=_untraced,
+        probes=_UNPROBED,
     ) -> CarrierLeg:
-        """Cut a propagated carrier down to the :class:`CarrierLeg` it memoizes.
+        """The :class:`CarrierLeg` of ``tx``, from its incident's ``spectrum``.
 
-        ``uplink`` is the propagated idle reflection.  The idle mixture
-        is summed as the whole mixture would be (zeros, then the direct
-        carrier, then the reflection) over the analysed samples only.
-        The reply window runs from ``reply_start`` to the end of the
-        last chip, clipped by the end of the incident waveform.
+        ``spectrum`` is the incident's propagation spectrum, beam gain
+        included; it is overwritten.  The node idles in the absorptive
+        state of ``mode`` throughout: its reflection of the analytic
+        incident is re-radiated, dilated by a drifting node's Doppler
+        and propagated to the hydrophone, where it mixes with the direct
+        carrier.  The leg keeps that mixture from ``analysis_start`` on,
+        so only the analytic incident (:func:`_analytic`) is computed at
+        full length.  The direct arrival is propagated from ``m - 1``
+        samples before ``analysis_start``, ``m`` the channel's
+        impulse-response length.  The idle reflection is re-radiated
+        from :data:`REPLY_GUARD` samples before that, with as many
+        trailing zeros, then dilated at its offset and propagated.  So
+        every kept sample is the whole-waveform sum up to rounding and
+        the filter's ringing past the guard.  The reply window runs from
+        ``reply_start`` to the end of the last chip, clipped by the end
+        of the incident.  ``probes`` receives the ``incident_carrier``
+        tap: the analytic incident's real part.
         """
+        n = len(tx) + len(self.ch_projector_node._impulse) - 1
+        m_ph = len(self.ch_projector_hydrophone._impulse)
+        m_nh = len(self.ch_node_hydrophone._impulse)
         reply_start, analysis_start = self._leg_offsets(uplink_start)
-        spc = self.sample_rate / (2.0 * bitrate)
-        end = min(reply_start + int(round(n_chips * spc)), len(analytic))
-        total = max(len(direct), len(uplink))
-        direct_tail = direct[analysis_start:].copy()
+        direct_from = max(analysis_start - (m_ph - 1), 0)
+        idle_from = max(analysis_start - (m_nh - 1) - REPLY_GUARD, 0)
+        with stage(
+            "link.uplink_propagation", segment="direct",
+            samples=len(tx) - direct_from,
+        ):
+            direct_tail = _direct([self], tx[None, direct_from:])[
+                0, analysis_start - direct_from :
+            ].copy()
+        with stage("link.node", phase="backscatter", segment="carrier"):
+            analytic = _analytic(spectrum, n)
+            spc = self.sample_rate / (2.0 * bitrate)
+            end = min(reply_start + int(round(n_chips * spc)), n)
+            window = analytic[reply_start : max(end, reply_start)].copy()
+            # The idle state of the key's mode, never read from the node:
+            # the batched engine builds legs for predicted exchanges.
+            gamma_a = self.node.bank.reflection_states(
+                mode, self.projector.carrier_hz
+            )[0]
+            kept = n - idle_from
+            # Trailing zeros, so the filter's circular wrap lands on
+            # silence, not on the window's start.
+            reflection = np.zeros((1, kept + REPLY_GUARD))
+            reflection[0, :kept] = np.real(gamma_a * analytic[idle_from:])
+            reflection = _reradiate([self], reflection)[:, :kept]
+            _dilate([self], reflection, [idle_from], [n])
+        if probes.wants("link.downlink_propagation"):
+            fs = self.sample_rate
+            incident = np.real(analytic)
+            probes.capture(
+                "link.downlink_propagation", "incident_carrier",
+                waveform=incident, sample_rate=fs, segment="carrier",
+                band_snr_db=band_snr_db(incident, fs, *self._node_band()),
+            )
+        with stage("link.uplink_propagation", segment="idle", samples=kept):
+            reflected = AcousticChannel.propagate(
+                [self.ch_node_hydrophone], reflection
+            )[0, analysis_start - idle_from :]
+        total = max(len(tx) + m_ph - 1, n + m_nh - 1)
+        # Summed as the whole mixture would be: zeros, then the direct
+        # carrier, then the reflection.
         idle = np.zeros(max(total - analysis_start, 0))
         idle[: len(direct_tail)] += direct_tail
-        reflected = uplink[analysis_start:]
         idle[: len(reflected)] += reflected
         return CarrierLeg(
             idle=idle,
             direct_tail=direct_tail,
-            window=analytic[reply_start : max(end, reply_start)].copy(),
+            window=window,
             gamma_a=complex(gamma_a),
             reply_start=reply_start,
-            reflection_len=len(analytic),
+            reflection_len=n,
             total=total,
             analysis_start=analysis_start,
         )
@@ -919,9 +966,9 @@ class BackscatterLink:
         hydrophone (the direct carrier), and the timing offsets.
         Splitting this out of the uplink memo means a node whose sensor
         reading drifts between rounds only recomputes the cheap
-        chip-dependent tail, not the hilbert transform and two channel
-        convolutions.  The transmission is synthesised here and the rest
-        is :func:`_carrier_legs`' one row.  ``stage(name, **attrs)`` opens
+        chip-dependent tail, not the analytic incident and the idle
+        mixture.  The transmission is synthesised here and the rest is
+        :func:`_carrier_legs`' one row.  ``stage(name, **attrs)`` opens
         each stage's span; ``probes`` receives the ``tx_waveform`` and
         ``incident_carrier`` taps.
         """

@@ -40,6 +40,66 @@ class TestChannelBasics:
         assert ch.paths  # internal list untouched
 
 
+class TestNarrowbandGainsOverHeldPaths:
+    """The narrowband gains sum over the paths the channel holds."""
+
+    def test_bit_equal_to_the_model_recomputation(self):
+        ch = make_channel()
+        for f in (None, 10_000.0, 15_000.0, 22_500.0):
+            freq = ch.frequency_hz if f is None else f
+            assert ch.gain_at(f) == ch._model.channel_gain_at(SRC, RX, freq)
+        assert ch.incoherent_gain() == ch._model.rms_gain(SRC, RX)
+
+    def test_no_path_enumeration_after_construction(self, monkeypatch):
+        from repro.acoustics.multipath import ImageSourceModel
+
+        ch = make_channel()
+        calls = []
+        enumerate_paths = ImageSourceModel.paths
+
+        def counted(model, *args):
+            calls.append(args)
+            return enumerate_paths(model, *args)
+
+        monkeypatch.setattr(ImageSourceModel, "paths", counted)
+        ch.gain_at()
+        ch.magnitude_gain(12_000.0)
+        ch.incoherent_gain()
+        ch.transmission_loss_db()
+        assert calls == []
+
+
+class TestSpectra:
+    """``propagate`` inverts ``spectra``: ``fftconvolve`` bit for bit."""
+
+    @pytest.mark.parametrize("samples", [2, 999, 8_191, 88_466])
+    def test_propagate_equals_fftconvolve(self, samples):
+        from scipy.signal import fftconvolve
+
+        channels = [make_channel(), make_channel(frequency_hz=12_000.0)]
+        x = np.random.default_rng(samples).standard_normal((2, samples))
+        y = AcousticChannel.propagate(channels, x)
+        for channel, row, out in zip(channels, x, y):
+            want = fftconvolve(row, channel._impulse)
+            assert out.tobytes() == want.tobytes()
+            assert out.tobytes() == channel.apply(row, include_noise=False).waveform.tobytes()
+
+    def test_spectra_are_the_fast_length_product(self):
+        import scipy.fft
+
+        ch = make_channel()
+        x = np.random.default_rng(1).standard_normal(5_000)
+        n = len(x) + len(ch._impulse) - 1
+        fast = scipy.fft.next_fast_len(n, real=True)
+        spectrum = AcousticChannel.spectra([ch], x[None])[0]
+        assert len(spectrum) == fast // 2 + 1
+        np.testing.assert_allclose(
+            scipy.fft.irfft(spectrum, fast)[:n],
+            np.convolve(x, ch._impulse),
+            atol=1e-12 * np.max(np.abs(x)),
+        )
+
+
 class TestApply:
     def test_tone_amplitude_matches_narrowband_gain(self):
         ch = make_channel()

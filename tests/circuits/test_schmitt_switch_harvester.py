@@ -236,3 +236,50 @@ class TestSharedMatchingNetwork:
             b = EnergyHarvester(t)
         assert a.matching_network is not b.matching_network
         assert a.matching_network == b.matching_network
+
+
+class TestOperatingPointCache:
+    """Each stimulus is solved once per harvester design (``operating_points``)."""
+
+    def test_cached_equals_uncached(self):
+        t = Transducer.from_cylinder_design()
+        harvester = EnergyHarvester(t)
+        for pressure in (0.0, 50.0, 293.2, 1_000.0):
+            for f in (t.resonance_hz, 12_000.0):
+                cached = harvester.operating_point(pressure, f)
+                assert harvester.operating_point(pressure, f) is cached
+                with caching_disabled():
+                    fresh = harvester.operating_point(pressure, f)
+                assert fresh == cached and fresh is not cached
+
+    def test_other_parameters_miss_and_equal_designs_hit(self):
+        from repro.perf import get_cache
+
+        t = Transducer.from_cylinder_design()
+        f = t.resonance_hz
+        EnergyHarvester(t).operating_point(300.0, f)
+        cache = get_cache("operating_points")
+        others = [
+            EnergyHarvester(
+                Transducer.from_cylinder_design(
+                    design_cylinder_transducer(in_water_q=8.0)
+                )
+            ),
+            EnergyHarvester(Transducer(bvd=t.bvd, ocv_db=-170.0)),
+            EnergyHarvester(t, MultiStageRectifier(efficiency=0.5)),
+            EnergyHarvester(t, MultiStageRectifier(diode_drop_v=0.3)),
+            EnergyHarvester(t, MultiStageRectifier(input_resistance_ohm=3_000.0)),
+            EnergyHarvester(t, design_frequency_hz=18_000.0),
+        ]
+        for harvester in others:
+            misses = cache.misses
+            op = harvester.operating_point(300.0, f)
+            assert cache.misses == misses + 1
+            assert op == harvester._solve(300.0, f)
+        for pressure, freq in ((300.5, f), (300.0, f + 1.0)):
+            misses = cache.misses
+            EnergyHarvester(t).operating_point(pressure, freq)
+            assert cache.misses == misses + 1
+        hits = cache.hits
+        EnergyHarvester(Transducer.from_cylinder_design()).operating_point(300.0, f)
+        assert cache.hits == hits + 1

@@ -61,6 +61,28 @@ class TestBudget:
         assert far.incident_pressure_pa < near.incident_pressure_pa
 
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_budget_enumerates_no_paths(self, monkeypatch, cached):
+        """The budget's narrowband gains read the channels' held paths."""
+        import contextlib
+
+        from repro.acoustics.multipath import ImageSourceModel
+        from repro.perf import caching_disabled
+
+        link = make_link()
+        calls = []
+        enumerate_paths = ImageSourceModel.paths
+
+        def counted(model, *args):
+            calls.append(args)
+            return enumerate_paths(model, *args)
+
+        monkeypatch.setattr(ImageSourceModel, "paths", counted)
+        with contextlib.nullcontext() if cached else caching_disabled():
+            link.budget()
+        assert calls == []
+
+
 class TestExchange:
     def test_full_ping_exchange(self):
         result = make_link().run_query(PING)
