@@ -10,11 +10,10 @@ the repo's performance trajectory.  It records:
 2. **No-op overhead** — the measured cost of a disabled-tracer span
    check *plus* a disabled-probe ``wants()`` check *plus* a
    disabled-ledger firmware hook *plus* a disabled-telemetry-bus
-   publish *plus* a disabled-profiler site check *plus* a disabled
-   anomaly-analytics round gate, scaled by the per-transaction
-   instrumentation-site counts, asserted to be <5% of a transaction
-   (the overhead policy in ``docs/OBSERVABILITY.md``; in practice it
-   is orders of magnitude below the bound).
+   publish *plus* a disabled anomaly-analytics round gate, scaled by
+   the per-transaction instrumentation-site counts, asserted to be <5%
+   of a transaction (the overhead policy in ``docs/OBSERVABILITY.md``;
+   in practice it is orders of magnitude below the bound).
 3. **A 10-node polling round** through the full
    :class:`~repro.net.reader.ReaderController` stack with metrics and
    event-log binding live.
@@ -176,36 +175,11 @@ def _noop_bus_cost_s() -> float:
     return (perf_counter() - t0) / n
 
 
-#: Disabled-profiler check sites a transaction can hit: one
-#: ``get_profiler().enabled`` lookup per cache-miss compute (up to the
-#: eight named caches), dominating the one-per-round checks in the
-#: reader's round hook and the fleet engine.
-PROFILER_SITES_PER_TRANSACTION = 8
-
 #: Anomaly-analytics check sites per transaction: the reader's
 #: ``analytics is None``/``analytics.enabled`` gate runs once per round,
 #: so one per transaction is the conservative (>=1 transaction/round)
 #: bound.
 ANALYTICS_SITES_PER_TRANSACTION = 1
-
-
-def _noop_profiler_cost_s() -> float:
-    """Per-call cost of the disabled-profiler check at a producer site.
-
-    The global profiler ships disabled; every site does a
-    ``get_profiler()`` lookup plus one attribute check before bailing.
-    """
-    from repro.obs import get_profiler
-
-    assert not get_profiler().enabled, (
-        "perf baseline requires the default disabled profiler"
-    )
-    n = 20_000 if SMOKE else 200_000
-    t0 = perf_counter()
-    for _ in range(n):
-        if get_profiler().enabled:
-            raise AssertionError("unreachable")
-    return (perf_counter() - t0) / n
 
 
 def _noop_analytics_cost_s() -> float:
@@ -358,14 +332,12 @@ def test_perf_baseline(benchmark, report):
     noop_probe_cost = _noop_probe_cost_s()
     noop_ledger_cost = _noop_ledger_cost_s()
     noop_bus_cost = _noop_bus_cost_s()
-    noop_profiler_cost = _noop_profiler_cost_s()
     noop_analytics_cost = _noop_analytics_cost_s()
     disabled_overhead = (
         spans_per_transaction * noop_cost
         + taps_per_transaction * noop_probe_cost
         + LEDGER_SITES_PER_TRANSACTION * noop_ledger_cost
         + BUS_SITES_PER_TRANSACTION * noop_bus_cost
-        + PROFILER_SITES_PER_TRANSACTION * noop_profiler_cost
         + ANALYTICS_SITES_PER_TRANSACTION * noop_analytics_cost
     ) / mean_off
     assert disabled_overhead < 0.05, (
@@ -401,11 +373,9 @@ def test_perf_baseline(benchmark, report):
         "noop_probe_cost_s": noop_probe_cost,
         "noop_ledger_cost_s": noop_ledger_cost,
         "noop_bus_cost_s": noop_bus_cost,
-        "noop_profiler_cost_s": noop_profiler_cost,
         "noop_analytics_cost_s": noop_analytics_cost,
         "ledger_sites_per_transaction": LEDGER_SITES_PER_TRANSACTION,
         "bus_sites_per_transaction": BUS_SITES_PER_TRANSACTION,
-        "profiler_sites_per_transaction": PROFILER_SITES_PER_TRANSACTION,
         "analytics_sites_per_transaction": ANALYTICS_SITES_PER_TRANSACTION,
         "spans_per_transaction": spans_per_transaction,
         "taps_per_transaction": taps_per_transaction,

@@ -23,6 +23,7 @@ from repro.acoustics.multipath import (
     ImageSourceModel,
     Path,
     coherent_gain,
+    impulse_response_from_paths,
     power_sum_gain,
 )
 from repro.acoustics.noise import AmbientNoiseModel
@@ -110,9 +111,7 @@ class AcousticChannel:
         )
         self._impulse = get_cache("channel_irs", maxsize=1024).get_or_compute(
             geo_key + (sample_rate,),
-            lambda: self._model.impulse_response(
-                source, receiver, sample_rate
-            ),
+            lambda: impulse_response_from_paths(self._paths, sample_rate),
         )
 
     @property

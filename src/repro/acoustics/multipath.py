@@ -190,29 +190,14 @@ class ImageSourceModel:
         *,
         max_delay_s: float | None = None,
     ) -> np.ndarray:
-        """Discrete-time pressure impulse response.
-
-        Fractional delays are handled by linearly splitting each arrival
-        between the two neighbouring samples, which preserves total energy
-        to first order and keeps the model fast.
-        """
+        """Discrete-time pressure impulse response (see
+        :func:`impulse_response_from_paths`)."""
         if sample_rate <= 0:
             raise ValueError("sample rate must be positive")
         all_paths = self.paths(source, receiver)
         if max_delay_s is not None:
             all_paths = [p for p in all_paths if p.delay_s <= max_delay_s]
-        if not all_paths:
-            return np.zeros(1)
-        last = max(p.delay_s for p in all_paths)
-        n = int(math.ceil(last * sample_rate)) + 2
-        h = np.zeros(n)
-        for p in all_paths:
-            pos = p.delay_s * sample_rate
-            i = int(math.floor(pos))
-            frac = pos - i
-            h[i] += p.gain * (1.0 - frac)
-            h[i + 1] += p.gain * frac
-        return h
+        return impulse_response_from_paths(all_paths, sample_rate)
 
     def channel_gain_at(
         self, source: Position, receiver: Position, frequency_hz: float
@@ -229,6 +214,30 @@ class ImageSourceModel:
         deterministic coherent sum of the image model would over- or
         under-state long-range harvesting at specific spots."""
         return power_sum_gain(self.paths(source, receiver))
+
+
+def impulse_response_from_paths(paths, sample_rate: float) -> np.ndarray:
+    """Discrete-time pressure impulse response over ``paths``, in order.
+
+    Fractional delays are handled by linearly splitting each arrival
+    between the two neighbouring samples, which preserves total energy
+    to first order and keeps the model fast.  A caller that holds
+    :meth:`ImageSourceModel.paths`' list gets
+    :meth:`ImageSourceModel.impulse_response` bit for bit without
+    enumerating the image lattice again.
+    """
+    if not paths:
+        return np.zeros(1)
+    last = max(p.delay_s for p in paths)
+    n = int(math.ceil(last * sample_rate)) + 2
+    h = np.zeros(n)
+    for p in paths:
+        pos = p.delay_s * sample_rate
+        i = int(math.floor(pos))
+        frac = pos - i
+        h[i] += p.gain * (1.0 - frac)
+        h[i + 1] += p.gain * frac
+    return h
 
 
 def coherent_gain(paths, frequency_hz: float) -> complex:

@@ -3,7 +3,9 @@
 Lets a user drive the reproduction without writing code:
 
 * ``demo``     — run the quickstart link exchange and print the outcome.
-* ``trace``    — run one traced exchange and emit the JSONL span trace.
+* ``trace``    — run one traced exchange and emit the JSONL span trace;
+  ``--flame-out`` also writes its collapsed-stack and speedscope
+  flamegraphs.
 * ``probe``    — run one probed exchange; dump taps (``.npz``) and any
   decode post-mortem (JSONL).
 * ``postmortem`` — render decode post-mortems from a JSONL dump.
@@ -24,10 +26,6 @@ Lets a user drive the reproduction without writing code:
   ``--follow``; rebuilds the exact campaign timeline from the stream.
 * ``bench``    — uncached vs cached vs batch campaign benchmark with
   the perf-regression gate (``--compare``).
-* ``profile``  — deterministic campaign profiler: per-stage wall/CPU
-  attribution, cache time-saved, batched-engine counters, tracemalloc
-  high-water, and byte-deterministic collapsed-stack / speedscope
-  flamegraphs (``--flame-out``).
 * ``fig3``     — print the recto-piezo tuning curves.
 * ``fig7``     — print the BER-SNR table.
 * ``fig8``     — print the SNR-vs-bitrate table (waveform level; slower).
@@ -174,11 +172,16 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    """One traced link exchange; JSONL spans to stdout or ``--out``."""
+    """One traced link exchange; JSONL spans to stdout or ``--out``.
+
+    ``--flame-out BASE`` also writes the exchange's spans as
+    ``BASE.collapsed.txt`` (self time in whole microseconds) and
+    ``BASE.speedscope.json`` (wall-clock seconds).
+    """
     from repro.net.messages import Command, Query
     from repro.obs import (
         MetricsRegistry, Tracer, metrics_to_prometheus, spans_to_jsonl,
-        stage_table, use_tracer, write_spans_jsonl,
+        stage_table, use_tracer, write_flamegraphs, write_spans_jsonl,
     )
 
     tracer = Tracer()
@@ -195,6 +198,12 @@ def _cmd_trace(args) -> int:
         _emit(f"wrote {len(tracer.spans)} spans to {path}")
     else:
         _table(spans_to_jsonl(tracer.spans))
+    if args.flame_out:
+        paths = write_flamegraphs(
+            _ensure_parent(args.flame_out), tracer.spans, scale=1e6,
+            name="pab trace", unit="seconds",
+        )
+        _emit(f"wrote {paths['collapsed']} and {paths['speedscope']}")
     _emit("")
     _emit(f"reply decoded: {result.success}")
     _table(stage_table(tracer).to_text())
@@ -920,13 +929,14 @@ def _cmd_diff(args) -> int:
     """Diff two campaign artifacts and attribute any drift.
 
     Artifacts may be telemetry streams (``--stream-out`` JSONL),
-    fleet-report JSON documents (``--report-out``), or BENCH/profile
-    record files — both sides must be the same kind.  Prints the drift
-    tables and attribution; ``--out`` additionally writes the
-    machine-readable drift report (canonical JSON, byte-identical for
-    identical inputs).  Exit codes: 0 clean (or informational run), 1
-    thresholded drift with ``--gate``, 2 unreadable/mismatched
-    artifacts.
+    fleet-report JSON documents (``--report-out``), or
+    ``BENCH_perf.json`` record files — both sides must be the same
+    kind; stage fractions come only from the bench records' stage
+    tables.  Prints the drift tables and attribution; ``--out``
+    additionally writes the machine-readable drift report (canonical
+    JSON, byte-identical for identical inputs).  Exit codes: 0 clean
+    (or informational run), 1 thresholded drift with ``--gate``, 2
+    unreadable/mismatched artifacts.
     """
     from repro.obs.diff import DiffThresholds, diff_campaigns, drift_to_json, render_drift
 
@@ -1066,11 +1076,12 @@ def _bench_campaign(nodes: int, rounds: int, seed: int, bitrate: float,
     check then proves the containment telemetry is identical across
     execution modes.
 
-    ``transports`` supplies a pre-built fleet instead of a fresh one —
-    the profiler passes one in to keep the links (and their weakly
-    registered per-link leg-memo caches) alive across its
-    ``cache_stats()`` snapshots.  ``reader_sink`` (a list) receives the
-    reader so callers can read engine attribution after the run.
+    ``transports`` supplies a pre-built fleet instead of a fresh one, so
+    a caller keeps the links (and their weakly registered per-link
+    leg-memo caches) alive across ``cache_stats()`` snapshots, as the
+    synthesis-cache census test does.  ``reader_sink`` (a list)
+    receives the reader so callers can read engine attribution after
+    the run.
 
     The bench pins a steady-state health policy (thresholds that no
     run of this length can reach) so the timed workload is a fixed mix
@@ -1190,8 +1201,6 @@ def _bench_gate(current: dict, baseline: dict, threshold: float) -> list[str]:
 def _load_bench_baseline(path, smoke: bool):
     """The latest gate-matching record in a ``BENCH_perf.json`` baseline.
 
-    ``repro profile --out`` records (``"benchmark": "profile"``) are
-    skipped: their speedups are over cached, not uncached, sequential.
     Returns ``(record, None)`` on success or ``(None, reason)`` — one
     clear line instead of a traceback for every way the baseline file
     can be missing or wrong.
@@ -1208,7 +1217,6 @@ def _load_bench_baseline(path, smoke: bool):
     matching = [
         r for r in data["records"]
         if isinstance(r, dict) and r.get("smoke") == smoke
-        and r.get("benchmark") != "profile"
     ]
     if not matching:
         return None, f"no baseline record with smoke={smoke} in {path}"
@@ -1396,291 +1404,6 @@ def _cmd_bench(args) -> int:
             path.write_text(header + "\n" + row + "\n")
         _emit(f"appended trend row to {path}")
     return status
-
-
-def _delta_cache_stats(before: dict, after: dict) -> dict:
-    """Per-cache counter deltas between two ``cache_stats()`` snapshots.
-
-    The process-global cache counters are cumulative, so a profile
-    pass's hit/miss accounting must subtract whatever earlier passes
-    (or earlier CLI work in the same process) already recorded.
-    """
-    from repro.perf.cache import CacheStats
-
-    out = {}
-    for name, s in after.items():
-        prev = before.get(name)
-        out[name] = CacheStats(
-            name=name,
-            hits=s.hits - (prev.hits if prev else 0),
-            misses=s.misses - (prev.misses if prev else 0),
-            evictions=s.evictions - (prev.evictions if prev else 0),
-            entries=s.entries,
-            maxsize=s.maxsize,
-        )
-    return out
-
-
-def _cmd_profile(args) -> int:
-    """Deterministic campaign profiler (see docs/PERFORMANCE.md).
-
-    Four passes over the same seeded fleet:
-
-    1. a sequential campaign under a unit-tick virtual clock — the
-       byte-deterministic flamegraph exports and per-round tracemalloc
-       marks;
-    2. a dual traced exchange pass (wall clock, then CPU clock) — the
-       measured per-stage wall/CPU attribution;
-    3. a cached sequential campaign with miss-cost timing — the
-       per-cache time-saved estimates;
-    4. the same campaign through the batched engine — its window, plan
-       and group counters, digest-checked against pass 3.
-    """
-    from repro.core.experiment import ExperimentTable
-    from repro.core.link import BackscatterLink
-    from repro.net.messages import Command, Query
-    from repro.obs import (
-        CampaignProfiler,
-        Tracer,
-        VirtualClock,
-        profile_stage_costs,
-        speedscope_document,
-        speedscope_stage_totals,
-        use_profiler,
-        use_tracer,
-        write_flamegraphs,
-    )
-    from repro.perf import cache_stats, caching_disabled, clear_all_caches
-
-    nodes = args.nodes if args.nodes is not None else (2 if args.smoke else 10)
-    rounds = args.rounds if args.rounds is not None else (3 if args.smoke else 20)
-    repeats = args.repeats if args.repeats is not None else (2 if args.smoke else 5)
-    _emit(f"profile: {nodes} nodes x {rounds} rounds, seed {args.seed}")
-
-    # Pass 1 — deterministic attribution: the campaign under a unit-tick
-    # VirtualClock.  Span timestamps are integers fixed by the seed, so
-    # the flamegraph files are byte-identical across runs; per-round
-    # tracemalloc marks ride on the profiler's per-round snapshots.
-    clear_all_caches()
-    tracer = Tracer(clock=VirtualClock(tick=1.0))
-    flame_profiler = CampaignProfiler(memory=True)
-    _emit("pass 1/4: virtual-clock campaign (flamegraph + memory)")
-    with use_tracer(tracer), use_profiler(flame_profiler):
-        _bench_campaign(
-            nodes, rounds, args.seed, args.bitrate, parallel=0
-        )
-    doc = speedscope_document(
-        tracer.spans, name=f"pab {nodes}x{rounds} seed {args.seed}"
-    )
-    flame_totals = speedscope_stage_totals(doc)
-    tick_totals = tracer.stage_totals()
-    agreement = max(
-        (
-            abs(flame_totals.get(name, 0.0) - entry["total_s"])
-            / entry["total_s"]
-            for name, entry in tick_totals.items()
-            if entry["total_s"]
-        ),
-        default=0.0,
-    )
-    if agreement > 0.01:
-        _emit(
-            f"FAIL: flamegraph totals diverge from the span tracer's "
-            f"by {agreement:.1%} (>1%)"
-        )
-        return 1
-    memory = flame_profiler.memory_report()
-    flame_paths = None
-    if args.flame_out:
-        flame_paths = write_flamegraphs(
-            _ensure_parent(args.flame_out), tracer.spans,
-            name=f"pab {nodes}x{rounds} seed {args.seed}", unit="none",
-        )
-        _emit(
-            f"wrote {flame_paths['collapsed']} and {flame_paths['speedscope']}"
-        )
-
-    # Pass 2 — measured per-stage wall *and* CPU seconds: the same
-    # seeded exchange traced once per repeat under a perf_counter
-    # tracer, then under a thread_time tracer (identical structure, so
-    # the passes join by stage name).
-    _emit(f"pass 2/4: measured stage costs ({repeats} traced exchanges x2)")
-    warm = _build_bench_fleet(1, args.seed, args.bitrate)
-    ((warm_addr, warm_transact),) = warm.items()
-    with caching_disabled():
-        warm_transact(Query(destination=warm_addr, command=Command.READ_PH))
-
-    def run_exchange(pass_tracer) -> None:
-        transports = _build_bench_fleet(1, args.seed, args.bitrate)
-        ((addr, transact),) = transports.items()
-        query = Query(destination=addr, command=Command.READ_PH)
-        with caching_disabled(), use_tracer(pass_tracer):
-            transact(query)
-
-    measured = profile_stage_costs(
-        run_exchange, repeats=repeats, stages=BackscatterLink.STAGES
-    )
-
-    # Pass 3 — cached sequential campaign with per-cache miss costs.
-    # The fleet is built *here* and kept referenced until after the
-    # stats snapshot: per-link leg-memo caches are weakly registered,
-    # so letting the links die would silently drop their counters.
-    clear_all_caches()
-    seq_transports = _build_bench_fleet(nodes, args.seed, args.bitrate)
-    stats_before = cache_stats()
-    seq_profiler = CampaignProfiler()
-    _emit("pass 3/4: cached sequential campaign (cache savings)")
-    with use_profiler(seq_profiler):
-        seq_s, seq_digest, _ = _bench_campaign(
-            nodes, rounds, args.seed, args.bitrate, parallel=0,
-            transports=seq_transports,
-        )
-    caches = seq_profiler.cache_report(
-        _delta_cache_stats(stats_before, cache_stats())
-    )
-    del seq_transports
-
-    # Pass 4 — the same campaign through the batched PHY engine:
-    # window/plan/group attribution from the engine's own counters.
-    clear_all_caches()
-    _emit("pass 4/4: batched campaign (engine attribution)")
-    batch_sink: list = []
-    batch_s, batch_digest, _ = _bench_campaign(
-        nodes, rounds, args.seed, args.bitrate, parallel="batch",
-        reader_sink=batch_sink,
-    )
-    engine = getattr(batch_sink[0], "_batch_engine", None)
-    batch_stats = engine.stats.as_dict() if engine is not None else {}
-
-    if seq_digest != batch_digest:
-        _emit("FAIL: sequential and batched campaigns disagree "
-              "— reports are not byte-identical")
-        return 1
-
-    hot = max(sorted(measured), key=lambda name: measured[name]["fraction"])
-    verdict = {
-        "hot_stage": hot,
-        "hot_fraction": round(measured[hot]["fraction"], 4),
-        "hot_cpu_wall_ratio": round(measured[hot]["cpu_wall_ratio"], 3),
-    }
-
-    summary = ExperimentTable(
-        title="Profile summary (cached campaign)",
-        columns=("mode", "wall_s", "speedup"),
-    )
-    summary.add_row("sequential", round(seq_s, 4), 1.0)
-    summary.add_row("batch", round(batch_s, 4), round(seq_s / batch_s, 3))
-    _table(summary.to_text())
-
-    stage_tbl = ExperimentTable(
-        title="Per-stage attribution (measured, uncached)",
-        columns=("stage", "wall_s", "cpu_s", "cpu/wall", "fraction"),
-    )
-    for name, entry in measured.items():
-        stage_tbl.add_row(
-            name, entry["wall_s"], entry["cpu_s"],
-            entry["cpu_wall_ratio"], entry["fraction"],
-        )
-    _table(stage_tbl.to_text())
-
-    cache_tbl = ExperimentTable(
-        title="Cache savings (cached sequential campaign)",
-        columns=("cache", "hits", "misses", "miss_cost_s", "saved_s"),
-    )
-    for name, entry in caches.items():
-        cache_tbl.add_row(
-            name, entry["hits"], entry["misses"],
-            entry["miss_cost_s"], entry["saved_s"],
-        )
-    _table(cache_tbl.to_text())
-
-    if batch_stats:
-        batch_tbl = ExperimentTable(
-            title="Batched engine attribution (batch campaign)",
-            columns=("counter", "value"),
-        )
-        for key in (
-            "windows", "rounds", "planned", "env_batched",
-            "carriers_batched", "tails_batched", "demods_precomputed",
-        ):
-            batch_tbl.add_row(key, batch_stats.get(key, 0))
-        for stage, count in sorted(batch_stats.get("groups", {}).items()):
-            batch_tbl.add_row(f"groups.{stage}", count)
-        _table(batch_tbl.to_text())
-
-    _emit(
-        f"memory high-water: {memory['peak_b'] / 1e6:.1f} MB over "
-        f"{memory['rounds']} rounds (tracemalloc)"
-    )
-    _emit(
-        f"hot stage: {hot} ({verdict['hot_fraction']:.0%} of transaction "
-        f"wall, cpu/wall {verdict['hot_cpu_wall_ratio']:.2f})"
-    )
-
-    if args.out:
-        record = {
-            "schema": 1,
-            "benchmark": "profile",
-            "smoke": bool(args.smoke),
-            "nodes": nodes,
-            "rounds": rounds,
-            "seed": args.seed,
-            "bitrate": args.bitrate,
-            "repeats": repeats,
-            "cached_s": round(seq_s, 4),
-            "batch_s": round(batch_s, 4),
-            "speedup_batch": round(seq_s / batch_s, 3),
-            "batch": batch_stats,
-            "identical": True,
-            "digest": seq_digest,
-            "flame_agreement": round(agreement, 6),
-            "stages": {
-                name: {
-                    "wall_s": round(entry["wall_s"], 5),
-                    "cpu_s": round(entry["cpu_s"], 5),
-                    "cpu_wall_ratio": round(entry["cpu_wall_ratio"], 3),
-                    "fraction": round(entry["fraction"], 4),
-                }
-                for name, entry in measured.items()
-            },
-            "stage_ticks": {
-                name: {"count": entry["count"], "ticks": entry["total_s"]}
-                for name, entry in sorted(tick_totals.items())
-            },
-            "caches": {
-                name: {
-                    "hits": entry["hits"],
-                    "misses": entry["misses"],
-                    "miss_cost_s": round(entry["miss_cost_s"], 6),
-                    "saved_s": round(entry["saved_s"], 4),
-                }
-                for name, entry in caches.items()
-            },
-            "memory": {
-                "peak_b": memory["peak_b"],
-                "final_b": memory["final_b"],
-                "rounds": memory["rounds"],
-            },
-            "verdict": verdict,
-        }
-        path = _ensure_parent(args.out)
-        history = {"records": []}
-        if path.exists():
-            try:
-                history = json.loads(path.read_text())
-            except ValueError:
-                _emit(f"FAIL: existing {path} is not valid JSON; not appending")
-                return 1
-            if not isinstance(history, dict):
-                _emit(
-                    f"FAIL: existing {path} is not a records object; "
-                    "not appending"
-                )
-                return 1
-        history.setdefault("records", []).append(record)
-        path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-        _emit(f"appended profile record to {path}")
-    return 0
 
 
 def _cmd_fig3(args) -> int:
@@ -1907,6 +1630,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out", default=None,
         help="also write a Prometheus text exposition of the run's metrics",
     )
+    trace.add_argument(
+        "--flame-out", default=None, metavar="BASE",
+        help="also write BASE.collapsed.txt + BASE.speedscope.json "
+             "flamegraphs of the traced exchange",
+    )
     trace.set_defaults(func=_cmd_trace)
 
     probe = sub.add_parser(
@@ -2085,7 +1813,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(stage/node/taxonomy/energy)",
     )
     diff.add_argument("a", help="baseline artifact (stream JSONL, "
-                                "fleet report JSON, or BENCH/profile file)")
+                                "fleet report JSON, or BENCH file)")
     diff.add_argument("b", help="candidate artifact (same kind as A)")
     diff.add_argument(
         "--gate", action="store_true",
@@ -2100,7 +1828,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--node-threshold", type=float, default=0.10,
                       help="per-node delivery-ratio drift tolerance")
     diff.add_argument("--stage-threshold", type=float, default=0.10,
-                      help="profiler stage-fraction drift tolerance")
+                      help="bench stage-fraction drift tolerance")
     diff.add_argument("--taxonomy-threshold", type=int, default=5,
                       help="fault/post-mortem count drift tolerance")
     diff.add_argument("--soc-threshold", type=float, default=0.15,
@@ -2139,32 +1867,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "restarted) in ROUND in every mode; the digest "
                             "check then proves containment is deterministic")
     bench.set_defaults(func=_cmd_bench)
-
-    profile = sub.add_parser(
-        "profile",
-        help="deterministic campaign profiler: stage/cache attribution "
-             "+ flamegraph export",
-    )
-    profile.add_argument("--nodes", type=int, default=None,
-                         help="fleet size (default 10, or 2 with --smoke)")
-    profile.add_argument("--rounds", type=int, default=None,
-                         help="polling rounds (default 20, or 3 with --smoke)")
-    profile.add_argument("--seed", type=int, default=2019)
-    profile.add_argument("--bitrate", type=float, default=2_000.0)
-    profile.add_argument("--repeats", type=int, default=None,
-                         help="traced exchanges per measured stage pass "
-                              "(default 5, or 2 with --smoke)")
-    profile.add_argument("--flame-out", default=None, metavar="BASE",
-                         help="write BASE.collapsed.txt + "
-                              "BASE.speedscope.json flamegraphs "
-                              "(byte-deterministic per seed)")
-    profile.add_argument("--out", default=None,
-                         help="append the profile record to this JSON "
-                              "history (BENCH_perf.json-shaped; the bench "
-                              "gate skips profile records)")
-    profile.add_argument("--smoke", action="store_true",
-                         help="small fleet/campaign for CI smoke runs")
-    profile.set_defaults(func=_cmd_profile)
 
     fig3 = sub.add_parser("fig3", help="recto-piezo tuning curves")
     fig3.set_defaults(func=_cmd_fig3)

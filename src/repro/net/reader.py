@@ -51,7 +51,6 @@ from repro.net.mac import MacStats, PollingMac, RetryPolicy
 from repro.obs.metrics import Counter, Gauge
 from repro.obs.postmortem import DecodePostmortem
 from repro.obs.analytics import publish_anomalies
-from repro.obs.profiler import get_profiler
 from repro.obs.stream import get_bus, make_event
 from repro.obs.trace import get_tracer
 from repro.resilience.checkpoint import (
@@ -498,17 +497,6 @@ class ReaderController:
             self.metrics.counter("pab_reader_rounds_total").inc()
         if self.bus.enabled:
             self._publish_round(t, out, skipped, record)
-        profiler = get_profiler()
-        profile_snapshot = None
-        if profiler.enabled:
-            # After the round's polls: both modes mark identical round
-            # boundaries, so a profile's structure (and, under a
-            # virtual clock, its bytes) does not depend on the mode.
-            profile_snapshot = profiler.on_round(t)
-            if self.bus.enabled:
-                self.bus.publish(
-                    "profile", t=t, source="profiler", data=profile_snapshot
-                )
         if self.analytics is not None and self.analytics.enabled:
             if record is None:
                 # Rounds without ledgers/SLO still feed delivery series.
@@ -523,7 +511,7 @@ class ReaderController:
                     },
                 }
             detections = self.analytics.observe_campaign_round(
-                t, record, registry=self.metrics, profile=profile_snapshot
+                t, record, registry=self.metrics
             )
             if detections:
                 publish_anomalies(

@@ -7,8 +7,9 @@ The measurement substrate under every performance claim in this repo:
   virtual clock for byte-identical test traces.
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
   histograms in a mergeable registry.
-* :mod:`repro.obs.export` — JSONL trace dumps, Prometheus text
-  exposition, and ``benchmarks/results/``-compatible CSV.
+* :mod:`repro.obs.export` — JSONL trace dumps, collapsed-stack and
+  speedscope flamegraphs (``repro trace --flame-out``), Prometheus
+  text exposition, and ``benchmarks/results/``-compatible CSV.
 * :mod:`repro.obs.probe` — named waveform taps through the decode
   pipeline (disabled-by-default, like the tracer).
 * :mod:`repro.obs.postmortem` — structured verdicts assembled from a
@@ -27,10 +28,6 @@ The measurement substrate under every performance claim in this repo:
   stream (``repro tail``).
 * :mod:`repro.obs.recorder` — the bounded ring-buffer flight recorder
   dumped next to checkpoints on campaign aborts.
-* :mod:`repro.obs.profiler` — the deterministic campaign profiler:
-  stage/cache/memory attribution plus collapsed-stack and
-  speedscope flamegraph exports (``repro profile``).
-
 * :mod:`repro.obs.analytics` — deterministic online anomaly detectors
   (EWMA z-score, CUSUM) the reader feeds per round; detections become
   schema-1 ``anomaly`` envelopes and ``pab_anomaly_*`` metrics.
@@ -56,13 +53,17 @@ from repro.obs.diff import (
     render_drift,
 )
 from repro.obs.export import (
+    collapsed_stacks,
     events_to_metrics,
     metrics_to_csv,
     metrics_to_prometheus,
     rows_to_csv,
     spans_to_jsonl,
+    speedscope_document,
+    speedscope_stage_totals,
     stage_table,
     write_csv,
+    write_flamegraphs,
     write_spans_jsonl,
 )
 from repro.obs.metrics import (
@@ -81,17 +82,6 @@ from repro.obs.postmortem import (
     load_postmortems_jsonl,
     postmortems_to_jsonl,
     write_postmortems_jsonl,
-)
-from repro.obs.profiler import (
-    CampaignProfiler,
-    collapsed_stacks,
-    get_profiler,
-    profile_stage_costs,
-    set_profiler,
-    speedscope_document,
-    speedscope_stage_totals,
-    use_profiler,
-    write_flamegraphs,
 )
 from repro.obs.probe import (
     ProbeRegistry,
@@ -160,7 +150,6 @@ __all__ = [
     "OBJECTIVES",
     "SNR_DB_BUCKETS",
     "AnomalyMonitor",
-    "CampaignProfiler",
     "Counter",
     "CusumDetector",
     "DecodePostmortem",
@@ -196,14 +185,12 @@ __all__ = [
     "events_to_metrics",
     "get_bus",
     "get_probes",
-    "get_profiler",
     "get_tracer",
     "load_artifact",
     "load_postmortems_jsonl",
     "metrics_to_csv",
     "metrics_to_prometheus",
     "postmortems_to_jsonl",
-    "profile_stage_costs",
     "publish_anomalies",
     "render_drift",
     "render_timeline",
@@ -211,7 +198,6 @@ __all__ = [
     "set_build_info",
     "set_bus",
     "set_probes",
-    "set_profiler",
     "set_tracer",
     "soc_rows",
     "spans_to_jsonl",
@@ -222,7 +208,6 @@ __all__ = [
     "timeline_to_jsonl",
     "use_bus",
     "use_probes",
-    "use_profiler",
     "use_tracer",
     "write_csv",
     "write_flamegraphs",

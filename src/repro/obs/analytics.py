@@ -1,8 +1,8 @@
 """Online anomaly detection over campaign telemetry series.
 
-Five PRs of observability record everything — streams, profiles, SLO
-burn, energy ledgers — but nothing *watches* those series for drift
-while a campaign runs.  This module adds that layer: small, purely
+The other observability layers record everything — streams, SLO burn,
+energy ledgers — but nothing *watches* those series for drift while a
+campaign runs.  This module adds that layer: small, purely
 arithmetic online detectors that the reader feeds once per round
 (after the round's polls) and that emit schema-1
 ``anomaly`` envelopes plus ``pab_anomaly_*`` metrics when a watched
@@ -22,11 +22,8 @@ anomaly sequences):
 
 :class:`AnomalyMonitor` multiplexes detectors over the per-round
 series the reader already produces: fleet delivery ratio, per-node
-delivery, per-node SoC, per-objective SLO burn rate, round-mean link
-SNR/BER (from the metrics registry's histograms), and per-stage
-profile fractions.  Wall-clock-derived series (profile fractions, and
-the optional flush-latency watch) are supported but excluded from the
-byte-determinism guarantee — see docs/OBSERVABILITY.md.
+delivery, per-node SoC, per-objective SLO burn rate, and round-mean
+link SNR/BER (from the metrics registry's histograms).
 
 Everything is opt-in: a reader constructed without a monitor pays one
 ``is None`` check per round.
@@ -316,15 +313,15 @@ class AnomalyMonitor:
         return out
 
     def observe_campaign_round(
-        self, t: float, record: dict, *, registry=None, profile=None
+        self, t: float, record: dict, *, registry=None
     ) -> list:
         """Feed one reader round record; returns detection payloads.
 
         ``record`` is the reader's round-log record shape (``t`` /
         ``outcomes`` / optional ``burn``).  Observation order is fixed
         — fleet delivery, per-node delivery, per-node SoC, SLO burn,
-        link SNR/BER, stage fractions — so the emitted anomaly
-        sequence is deterministic for a given campaign.
+        link SNR/BER — so the emitted anomaly sequence is deterministic
+        for a given campaign.
         """
         if not self.enabled:
             return []
@@ -364,20 +361,7 @@ class AnomalyMonitor:
                 rnd=rnd,
             )
         out += self._observe_link_quality(registry, rnd)
-        out += self._observe_stage_fractions(profile, rnd)
         return out
-
-    def observe_flush(self, p99_s, *, rnd: int = -1) -> list:
-        """Optional wall-clock watch on the bus's p99 flush latency.
-
-        Not wired by default — flush timings are host noise, so
-        feeding them breaks the byte-determinism guarantee.  Soak
-        harnesses that care about flush regressions call this
-        explicitly.
-        """
-        return self.observe(
-            "flush_p99_s", p99_s, stage="stream", rnd=rnd
-        )
 
     def _observe_link_quality(self, registry, rnd: int) -> list:
         """Round-mean SNR/BER from the registry's link histograms.
@@ -415,29 +399,6 @@ class AnomalyMonitor:
                     stage="link",
                     rnd=rnd,
                 )
-        return out
-
-    def _observe_stage_fractions(self, profile, rnd: int) -> list:
-        """Per-stage wall-time fractions from a profiler round snapshot.
-
-        Only meaningful when the profiler is enabled; fractions are
-        wall-clock derived, so (like :meth:`observe_flush`) they sit
-        outside the byte-determinism guarantee.
-        """
-        if not profile:
-            return []
-        stages = profile.get("stages") or {}
-        total = sum(s.get("total_s", 0.0) for s in stages.values())
-        if total <= 0.0:
-            return []
-        out = []
-        for stage in sorted(stages):
-            out += self.observe(
-                f"stage_fraction:{stage}",
-                stages[stage].get("total_s", 0.0) / total,
-                stage=stage,
-                rnd=rnd,
-            )
         return out
 
     # -- reporting ----------------------------------------------------------------------

@@ -2,17 +2,16 @@
 
 The observability stack can already *record* a campaign three ways —
 a schema-1 JSONL telemetry stream, a fleet-report JSON document, and
-BENCH/profile record files — but comparing two campaigns meant eyeballing
-byte digests.  This module loads any two artifacts of the same kind,
-aligns them round-by-round and stage-by-stage, and produces a
-structured drift report that *attributes* deltas:
+``BENCH_perf.json`` record files — but comparing two campaigns meant
+eyeballing byte digests.  This module loads any two artifacts of the
+same kind, aligns them round-by-round and stage-by-stage, and
+produces a structured drift report that *attributes* deltas:
 
 * to a **node** (per-node delivery-ratio deltas),
 * to a **failure-taxonomy class** (fault-injector and post-mortem
   counts; each class carries its failing stage via
   :data:`repro.faults.injectors.FAULT_FAILING_STAGES`),
-* to a **stage** (profiler stage fractions when both sides carry
-  ``profile`` events or bench stage tables),
+* to a **stage** (the stage fractions of two bench records),
 * and to an **energy bucket** (final SoC classified against the
   supercap hysteresis thresholds).
 
@@ -70,7 +69,7 @@ class DiffThresholds:
 
     delivery_ratio: float = 0.02      # fleet delivery-ratio drift
     node_delivery_ratio: float = 0.10  # any single node's drift
-    stage_fraction: float = 0.10      # profiler stage-share drift
+    stage_fraction: float = 0.10      # bench stage-share drift
     taxonomy_count: int = 5           # fault/postmortem count drift
     soc_v: float = 0.15               # any node's final SoC drift
     burn_rate: float = 1.0            # any objective's burn drift
@@ -107,7 +106,7 @@ def load_artifact(path) -> dict:
     """Load one campaign artifact into a comparable summary dict.
 
     Sniffing order: a whole-file JSON dict with ``records`` is a
-    BENCH/profile document (the last record is summarized); one with
+    BENCH document (the last record is summarized); one with
     ``network``/``nodes`` is a fleet report; anything else is fed
     line-by-line as a schema-1 JSONL stream.  Raises ``ValueError``
     for files that are none of the three.
@@ -173,7 +172,6 @@ def _summarize_stream(agg: StreamAggregator, path) -> dict:
     for pm in agg.postmortems:
         cls = str(pm.get("failure", "unknown"))
         failures[cls] = failures.get(cls, 0) + 1
-    stage_fractions = _mean_stage_fractions(agg.profiles)
     delivered = sum(v[0] for v in per_node.values())
     polled = sum(v[1] for v in per_node.values())
     return {
@@ -197,25 +195,9 @@ def _summarize_stream(agg: StreamAggregator, path) -> dict:
         "burn": {
             k: v for k, v in sorted(agg.final_burn().items()) if _finite(v)
         },
-        "stage_fractions": stage_fractions,
+        "stage_fractions": {},
         "anomalies": dict(sorted(agg.anomaly_counts().items())),
     }
-
-
-def _mean_stage_fractions(profiles: list) -> dict:
-    """Mean per-stage wall-time share over a stream's profile events."""
-    totals: dict = {}
-    n = 0
-    for snapshot in profiles:
-        stages = snapshot.get("stages") or {}
-        round_total = sum(s.get("total_s", 0.0) for s in stages.values())
-        if round_total <= 0.0:
-            continue
-        n += 1
-        for name in stages:
-            share = stages[name].get("total_s", 0.0) / round_total
-            totals[name] = totals.get(name, 0.0) + share
-    return {name: totals[name] / n for name in sorted(totals)} if n else {}
 
 
 def _summarize_report(doc: dict, path) -> dict:
@@ -253,7 +235,7 @@ def _summarize_report(doc: dict, path) -> dict:
 
 
 def _summarize_bench(doc: dict, path) -> dict:
-    """Summary for a BENCH/profile record document (last record)."""
+    """Summary for a BENCH record document (last record)."""
     records = doc.get("records") or []
     if not records:
         raise ValueError(f"{path}: record document has no records")

@@ -1,10 +1,15 @@
-"""Exporters for traces and metrics: JSONL, Prometheus text, CSV.
+"""Exporters for traces and metrics: JSONL, flamegraphs, Prometheus text, CSV.
 
-One instrumentation substrate, three serialisations:
+One instrumentation substrate, four serialisations:
 
 * :func:`spans_to_jsonl` — one JSON object per span, sorted keys, for
   offline trace analysis; byte-deterministic under a
   :class:`~repro.obs.trace.VirtualClock`.
+* :func:`collapsed_stacks` / :func:`speedscope_document` /
+  :func:`write_flamegraphs` — collapsed-stack text (Brendan Gregg's
+  ``root;child;leaf weight`` lines) and a speedscope evented profile
+  from the same spans (``repro trace --flame-out``); byte-identical
+  across runs under a ticking virtual clock.
 * :func:`metrics_to_prometheus` — the text exposition format, so a
   deployment can be scraped without any client library.
 * :func:`metrics_to_csv` / :func:`write_csv` — rows compatible with the
@@ -65,6 +70,164 @@ def write_spans_jsonl(path, spans) -> pathlib.Path:
 
 
 # ---------------------------------------------------------------------------
+# Flamegraphs (pure functions over recorded spans)
+# ---------------------------------------------------------------------------
+
+def _span_forest(spans):
+    """``(roots, children)`` from finished spans, deterministic order.
+
+    Children sort by start time (unique under a ticking clock; span_id
+    breaks wall-clock ties), so traversal order is reproducible.
+    """
+    by_id = {s.span_id: s for s in spans}
+    children: dict = {s.span_id: [] for s in spans}
+    roots = []
+    for span in spans:
+        if span.parent_id is not None and span.parent_id in by_id:
+            children[span.parent_id].append(span)
+        else:
+            roots.append(span)
+    key = lambda s: (s.start_s, s.span_id)  # noqa: E731 - tiny sort key
+    roots.sort(key=key)
+    for kids in children.values():
+        kids.sort(key=key)
+    return roots, children
+
+
+def _self_seconds(span, children) -> float:
+    child_s = sum(c.duration_s for c in children[span.span_id])
+    return max(span.duration_s - child_s, 0.0)
+
+
+def collapsed_stacks(spans, *, scale: float = 1.0) -> str:
+    """Collapsed-stack flamegraph text (``stack;frames weight`` lines).
+
+    Each span contributes its *self* time (duration minus children) to
+    its full stack path; identical paths aggregate.  Weights are
+    integers — ``scale`` converts span time units to counts (use 1.0
+    with a unit-tick :class:`~repro.obs.trace.VirtualClock`, ``1e6``
+    for wall-clock seconds -> microseconds).  Lines sort
+    lexicographically, so output is deterministic for deterministic
+    spans.  Render with any ``flamegraph.pl``-compatible tool or paste
+    into speedscope.
+    """
+    roots, children = _span_forest(spans)
+    weights: dict = {}
+
+    def visit(span, path):
+        path = path + (span.name,)
+        weight = int(round(_self_seconds(span, children) * scale))
+        if weight > 0:
+            key = ";".join(path)
+            weights[key] = weights.get(key, 0) + weight
+        for child in children[span.span_id]:
+            visit(child, path)
+
+    for root in roots:
+        visit(root, ())
+    lines = [f"{path} {weights[path]}" for path in sorted(weights)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def speedscope_document(spans, *, name: str = "pab-campaign",
+                        unit: str = "none") -> dict:
+    """A speedscope-compatible evented profile from finished spans.
+
+    Open/close events come from a deterministic tree traversal (never a
+    raw timestamp sort), so the event stream is well-nested even when a
+    wall clock hands sibling spans identical timestamps.  With a
+    virtual clock the document is byte-stable across runs; its
+    per-frame totals equal :meth:`Tracer.stage_totals` by construction
+    (asserted in ``tests/obs/test_export.py``).
+
+    ``unit`` should be ``"none"`` for virtual-clock ticks and
+    ``"seconds"`` for wall-clock spans.
+    """
+    roots, children = _span_forest(spans)
+    frame_index: dict = {}
+    frames: list = []
+    events: list = []
+
+    def frame_of(span_name: str) -> int:
+        if span_name not in frame_index:
+            frame_index[span_name] = len(frames)
+            frames.append({"name": span_name})
+        return frame_index[span_name]
+
+    def visit(span, lo: float, hi: float):
+        # Clamp into the parent's interval: defensive against clock
+        # skew; a no-op for well-nested virtual-clock spans.
+        start = min(max(span.start_s, lo), hi)
+        end = min(max(span.end_s, start), hi)
+        idx = frame_of(span.name)
+        events.append({"type": "O", "frame": idx, "at": start})
+        for child in children[span.span_id]:
+            visit(child, start, end)
+        events.append({"type": "C", "frame": idx, "at": end})
+
+    start_value = min((s.start_s for s in spans), default=0.0)
+    end_value = max((s.end_s for s in spans), default=0.0)
+    for root in roots:
+        visit(root, start_value, end_value)
+    return {
+        "$schema": "https://www.speedscope.app/file-format-schema.json",
+        "exporter": "repro.obs.export",
+        "name": name,
+        "activeProfileIndex": 0,
+        "shared": {"frames": frames},
+        "profiles": [{
+            "type": "evented",
+            "name": name,
+            "unit": unit,
+            "startValue": start_value,
+            "endValue": end_value,
+            "events": events,
+        }],
+    }
+
+
+def speedscope_stage_totals(doc: dict) -> dict:
+    """``{frame name: total}`` from a speedscope evented document.
+
+    Re-derives per-stage totals from the exported events (not from the
+    spans that built them) so tests can assert that the flamegraph
+    agrees with the tracer's own :meth:`stage_totals`.
+    """
+    frames = doc["shared"]["frames"]
+    totals: dict = {}
+    open_at: dict = {}
+    for event in doc["profiles"][0]["events"]:
+        name = frames[event["frame"]]["name"]
+        if event["type"] == "O":
+            open_at.setdefault(name, []).append(event["at"])
+        else:
+            start = open_at[name].pop()
+            totals[name] = totals.get(name, 0.0) + (event["at"] - start)
+    return totals
+
+
+def write_flamegraphs(base, spans, *, scale: float = 1.0,
+                      name: str = "pab-campaign",
+                      unit: str = "none") -> dict:
+    """Write ``BASE.collapsed.txt`` + ``BASE.speedscope.json``.
+
+    Returns ``{"collapsed": path, "speedscope": path}``.  Both files
+    are byte-deterministic for deterministic spans (sorted keys,
+    compact separators, trailing newline).
+    """
+    base = pathlib.Path(base)
+    base.parent.mkdir(parents=True, exist_ok=True)
+    collapsed = base.with_name(base.name + ".collapsed.txt")
+    collapsed.write_text(collapsed_stacks(spans, scale=scale))
+    speedscope = base.with_name(base.name + ".speedscope.json")
+    doc = speedscope_document(spans, name=name, unit=unit)
+    speedscope.write_text(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    )
+    return {"collapsed": collapsed, "speedscope": speedscope}
+
+
+# ---------------------------------------------------------------------------
 # Metrics — Prometheus text exposition
 # ---------------------------------------------------------------------------
 
@@ -117,9 +280,6 @@ METRIC_HELP = {
     "pab_node_energy_margin_volts": "Supercap voltage margin above the brownout threshold.",
     "pab_node_health_code": "Health state code (0=HEALTHY 1=DEGRADED 2=QUARANTINED 3=PROBING).",
     "pab_node_soc_volts": "Supercap state of charge in volts.",
-    "pab_profile_cache_saved_seconds": "Estimated seconds saved per cache (hits x mean miss cost).",
-    "pab_profile_mem_peak_bytes": "Campaign tracemalloc high-water mark.",
-    "pab_profile_stage_seconds": "Profiler per-stage span totals.",
     "pab_reader_readings_total": "Decoded sensor readings stored per node.",
     "pab_reader_rounds_total": "Polling rounds completed.",
     "pab_shard_quarantines_total": "Shards quarantined after consecutive worker crashes.",

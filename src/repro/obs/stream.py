@@ -60,9 +60,6 @@ kind               source     data payload
                               node, SLO burn, cumulative MAC counters
 ``postmortem``     obs        one :class:`~repro.obs.postmortem.DecodePostmortem`
 ``checkpoint``     reader     checkpoint file written (path, round)
-``profile``        profiler   one per-round profiler snapshot (stage deltas,
-                              memory high-water) from
-                              :meth:`repro.obs.profiler.CampaignProfiler.on_round`
 ``anomaly``        analytics  one online-detector hit (series, node, stage,
                               detector, severity, score) from
                               :class:`repro.obs.analytics.AnomalyMonitor`
@@ -104,8 +101,7 @@ SCHEMA_VERSION = 1
 #: consumers must ignore kinds they don't understand).
 EVENT_KINDS = (
     "stream_start", "event", "span", "metrics", "soc", "slo", "round",
-    "postmortem", "checkpoint", "profile", "anomaly", "readings",
-    "soc_samples",
+    "postmortem", "checkpoint", "anomaly", "readings", "soc_samples",
 )
 
 
@@ -485,7 +481,6 @@ class StreamAggregator:
         self._rounds: dict = {}    # round number -> round-log record
         self._energy: dict = {}    # (node, round) -> ledger round record
         self._slo: dict = {}       # round number -> slo sample
-        self._profiles: dict = {}  # round number -> profiler snapshot
         self._anomalies: dict = {} # (round, series, node, detector) -> envelope
         self.metrics_values: dict = {}  # "name{labels}" -> latest value
         self.postmortems: list = []
@@ -493,9 +488,10 @@ class StreamAggregator:
         self.spans: list = []
         #: Envelope kinds this consumer does not understand, counted
         #: per kind.  Unknown kinds are skipped, never fatal: a schema-1
-        #: producer is allowed to add kinds (as ``anomaly`` was added
-        #: after ``profile``), and an older consumer must degrade to
-        #: ignoring them.  Mirrored into
+        #: producer is allowed to add kinds, and an older consumer must
+        #: degrade to ignoring them.  A retired kind reduces the same
+        #: way, so older streams that carry ``profile`` lines still
+        #: reduce.  Mirrored into
         #: ``pab_stream_unknown_kinds_total{kind=...}`` when the
         #: aggregator was built with a metrics registry.
         self.unknown_kinds: dict = {}
@@ -554,10 +550,6 @@ class StreamAggregator:
             # History-only rows: a checkpoint restore replays them; no
             # timeline or SLO view is built from them.
             pass
-        elif kind == "profile":
-            # Round-keyed, last-write-wins: idempotent across a
-            # crash/resume overlap like every other reduction here.
-            self._profiles[int(data.get("round", event.get("t", 0)))] = data
         elif kind == "anomaly":
             # Keyed on the detection's identity rather than the
             # envelope seq: a resumed stream re-emits the overlap's
@@ -646,42 +638,6 @@ class StreamAggregator:
     def rounds_observed(self) -> int:
         return len(self._rounds)
 
-    @property
-    def profiles(self) -> list:
-        """Profiler round snapshots in round order ([] if none streamed)."""
-        return [self._profiles[r] for r in sorted(self._profiles)]
-
-    def hot_stage(self, rnd: int) -> tuple | None:
-        """``(stage, fraction_of_round)`` from a round's profile event.
-
-        The stage with the largest span total in round ``rnd``'s
-        profiler snapshot (ties break to the lexicographically first
-        name, so the answer is deterministic), or ``None`` when the
-        stream carries no stage attribution for that round.
-
-        When the snapshot contains ``link.*`` stages, only those
-        compete (and supply the fraction denominator): the wrapper
-        spans (``reader.poll_round``, ``mac.poll``) enclose every link
-        stage, so the raw maximum would always name the outermost
-        wrapper instead of where the time actually goes.
-        """
-        profile = self._profiles.get(rnd)
-        if not profile:
-            return None
-        stages = profile.get("stages") or {}
-        link_stages = {
-            name: entry for name, entry in stages.items()
-            if name.startswith("link.")
-        }
-        pool = link_stages or stages
-        if not pool:
-            return None
-        top = max(
-            sorted(pool), key=lambda name: pool[name].get("total_s", 0.0)
-        )
-        total = sum(e.get("total_s", 0.0) for e in pool.values()) or 1.0
-        return top, pool[top].get("total_s", 0.0) / total
-
     def delivery_totals(self) -> dict:
         """Cumulative polled/delivered counts over the whole stream."""
         polled = delivered = 0
@@ -719,10 +675,6 @@ class StreamAggregator:
         )
         if churn:
             parts.append(f"churn {churn}")
-        hot = self.hot_stage(rnd)
-        if hot is not None:
-            name, fraction = hot
-            parts.append(f"hot {name.split('.')[-1]} {fraction:.0%}")
         return "  ".join(parts)
 
     @property

@@ -187,7 +187,7 @@ class _NodeWindow:
 
 @dataclass
 class BatchStats:
-    """Counters for ``repro profile`` / bench attribution."""
+    """Counters for ``repro bench`` attribution."""
 
     windows: int = 0
     rounds: int = 0

@@ -30,7 +30,6 @@ uncached one — asserted by ``tests/perf/test_cache.py``.
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -138,7 +137,7 @@ class LRUCache:
                 self.hits += 1
                 self._data.move_to_end(key)
                 return self._data[key]
-        value = self._timed_compute(compute)
+        value = compute()
         _freeze(value)
         self._store(key, value)
         return value
@@ -167,7 +166,7 @@ class LRUCache:
                 self._data.move_to_end(key)
                 return value[:n]
         length = 1 << max(int(n) - 1, 0).bit_length()
-        value = self._timed_compute(lambda: compute(length))
+        value = compute(length)
         _freeze(value)
         self._store(key, value, prefix=True)
         return value[:n]
@@ -187,24 +186,6 @@ class LRUCache:
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
                 self.evictions += 1
-
-    def _timed_compute(self, compute):
-        """Run a miss's ``compute()``, timing it for an enabled profiler.
-
-        The measured miss costs feed
-        :meth:`repro.obs.profiler.CampaignProfiler.cache_report`'s
-        per-cache time-saved estimates (hits x mean miss cost).  Only
-        the miss path pays the profiler lookup; hits never reach here.
-        """
-        from repro.obs.profiler import get_profiler
-
-        profiler = get_profiler()
-        if not profiler.enabled:
-            return compute()
-        start = time.perf_counter()
-        value = compute()
-        profiler.record_cache_miss(self.name, time.perf_counter() - start)
-        return value
 
     def clear(self) -> None:
         """Drop all entries (counters are kept)."""

@@ -69,6 +69,36 @@ class TestNarrowbandGainsOverHeldPaths:
         assert calls == []
 
 
+class TestImpulseResponseFromHeldPaths:
+    """The impulse response comes from the held paths, bit for bit."""
+
+    def test_one_path_enumeration_per_new_geometry(self, monkeypatch):
+        from repro.acoustics.multipath import ImageSourceModel
+        from repro.perf import clear_all_caches
+
+        clear_all_caches()
+        calls = []
+        enumerate_paths = ImageSourceModel.paths
+
+        def counted(model, *args):
+            calls.append(args)
+            return enumerate_paths(model, *args)
+
+        monkeypatch.setattr(ImageSourceModel, "paths", counted)
+        receivers = (RX, Position(2.0, 1.2, 0.5))
+        channels = [make_channel() for _ in range(2)]
+        channels += [
+            AcousticChannel(POOL_A, SRC, receivers[1], sample_rate=FS,
+                            frequency_hz=15_000.0)
+            for _ in range(2)
+        ]
+        assert calls == [(SRC, RX), (SRC, receivers[1])]
+        monkeypatch.undo()
+        for ch, rx in zip(channels[::2], receivers):
+            model_ir = ch._model.impulse_response(SRC, rx, FS)
+            assert ch._impulse.tobytes() == model_ir.tobytes()
+
+
 class TestSpectra:
     """``propagate`` inverts ``spectra``: ``fftconvolve`` bit for bit."""
 

@@ -240,22 +240,6 @@ class TestAnomalyMonitor:
             h["series"] == "snr_db" and h["stage"] == "link" for h in hits
         )
 
-    def test_stage_fraction_series_from_profile_snapshot(self):
-        monitor = AnomalyMonitor(detectors=("ewma",))
-        for t in range(12):
-            profile = {"stages": {"mac": {"total_s": 0.5}, "dsp": {"total_s": 0.5}}}
-            monitor.observe_campaign_round(
-                float(t), {"outcomes": {}}, profile=profile
-            )
-        hits = monitor.observe_campaign_round(
-            12.0,
-            {"outcomes": {}},
-            profile={"stages": {"mac": {"total_s": 0.99}, "dsp": {"total_s": 0.01}}},
-        )
-        assert {h["series"] for h in hits} == {
-            "stage_fraction:dsp", "stage_fraction:mac"
-        }
-
     def test_summary_counts_by_severity(self):
         monitor = AnomalyMonitor(detectors=("ewma",))
         self._warm(monitor)

@@ -1,4 +1,5 @@
-"""Tests for the exporters: JSONL traces, Prometheus text, CSV, adapters."""
+"""Tests for the exporters: JSONL traces, flamegraphs, Prometheus text, CSV,
+adapters."""
 
 import ast
 import json
@@ -8,16 +9,20 @@ from repro.faults.events import EventLog
 from repro.obs.export import (
     METRIC_HELP,
     _escape_help,
+    collapsed_stacks,
     events_to_metrics,
     metrics_to_csv,
     metrics_to_prometheus,
     rows_to_csv,
+    speedscope_document,
+    speedscope_stage_totals,
     spans_to_jsonl,
     write_csv,
+    write_flamegraphs,
     write_spans_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, VirtualClock
+from repro.obs.trace import Tracer, VirtualClock, use_tracer
 
 
 def synthetic_workload(tracer):
@@ -67,6 +72,103 @@ class TestSpansJsonl:
         synthetic_workload(tracer)
         path = write_spans_jsonl(tmp_path / "trace.jsonl", tracer.spans)
         assert path.read_text() == spans_to_jsonl(tracer.spans)
+
+
+def _traced_campaign():
+    """A deterministic two-round span forest under a unit-tick clock."""
+    tracer = Tracer(clock=VirtualClock(tick=1.0))
+    for _ in range(2):
+        with tracer.span("round"):
+            with tracer.span("link.node"):
+                pass
+            with tracer.span("link.dsp"):
+                with tracer.span("fft"):
+                    pass
+    return tracer
+
+
+class TestFlamegraphs:
+    def test_collapsed_stacks_exact(self):
+        tracer = Tracer(clock=VirtualClock(tick=1.0))
+        with tracer.span("root"):
+            with tracer.span("a"):
+                pass
+            with tracer.span("b"):
+                with tracer.span("c"):
+                    pass
+        text = collapsed_stacks(tracer.spans)
+        assert text == "root 3\nroot;a 1\nroot;b 2\nroot;b;c 1\n"
+
+    def test_collapsed_scale_converts_units(self):
+        tracer = Tracer(clock=VirtualClock(tick=0.5))
+        with tracer.span("only"):
+            pass
+        assert collapsed_stacks(tracer.spans, scale=2.0) == "only 1\n"
+
+    def test_speedscope_totals_equal_tracer_totals(self):
+        tracer = _traced_campaign()
+        doc = speedscope_document(tracer.spans)
+        flame = speedscope_stage_totals(doc)
+        for name, entry in tracer.stage_totals().items():
+            assert flame[name] == entry["total_s"]
+
+    def test_speedscope_document_shape(self):
+        tracer = _traced_campaign()
+        doc = speedscope_document(tracer.spans, name="t", unit="none")
+        assert doc["$schema"].startswith("https://www.speedscope.app/")
+        (profile,) = doc["profiles"]
+        assert profile["type"] == "evented"
+        assert profile["startValue"] <= profile["endValue"]
+        # Well-nested: every open has a close, depth never goes negative.
+        depth = 0
+        for event in profile["events"]:
+            depth += 1 if event["type"] == "O" else -1
+            assert depth >= 0
+        assert depth == 0
+        names = [f["name"] for f in doc["shared"]["frames"]]
+        assert len(names) == len(set(names))  # frames deduplicated
+
+    def test_exports_byte_identical_across_runs(self, tmp_path):
+        first = write_flamegraphs(tmp_path / "a" / "flame",
+                                  _traced_campaign().spans)
+        second = write_flamegraphs(tmp_path / "b" / "flame",
+                                   _traced_campaign().spans)
+        for kind in ("collapsed", "speedscope"):
+            assert first[kind].read_bytes() == second[kind].read_bytes()
+        # And the JSON parses back to a speedscope doc.
+        doc = json.loads(first["speedscope"].read_text())
+        assert doc["exporter"] == "repro.obs.export"
+
+    def test_empty_spans_export_cleanly(self, tmp_path):
+        assert collapsed_stacks([]) == ""
+        doc = speedscope_document([])
+        assert doc["profiles"][0]["events"] == []
+        paths = write_flamegraphs(tmp_path / "flame", [])
+        assert paths["collapsed"].read_text() == ""
+
+    def test_bench_campaign_flamegraphs_byte_identical(self, tmp_path):
+        """A seeded 2-node x 3-round campaign's flamegraphs repeat byte
+        for byte, and the speedscope totals are the tracer's own."""
+        from repro.cli import _bench_campaign
+        from repro.perf import clear_all_caches
+
+        files = []
+        for run in ("a", "b"):
+            clear_all_caches()
+            tracer = Tracer(clock=VirtualClock(tick=1.0))
+            with use_tracer(tracer):
+                _bench_campaign(2, 3, 2019, 2_000.0, parallel=0)
+            assert any(s.name == "link.hydrophone_dsp" for s in tracer.spans)
+            files.append(write_flamegraphs(tmp_path / run / "flame",
+                                           tracer.spans))
+            doc = json.loads(files[-1]["speedscope"].read_text())
+            flame = speedscope_stage_totals(doc)
+            assert flame == {
+                name: entry["total_s"]
+                for name, entry in tracer.stage_totals().items()
+            }
+        for kind in ("collapsed", "speedscope"):
+            assert files[0][kind].read_bytes() == files[1][kind].read_bytes()
 
 
 class TestPrometheus:

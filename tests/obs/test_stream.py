@@ -157,7 +157,7 @@ class TestEventSchema:
     def test_documented_kinds(self):
         for kind in ("stream_start", "event", "span", "metrics", "soc",
                      "slo", "round", "postmortem", "checkpoint",
-                     "profile", "anomaly"):
+                     "anomaly"):
             assert kind in EVENT_KINDS
 
     def test_aggregator_rejects_newer_schema(self):
@@ -559,7 +559,9 @@ class TestUnknownKinds:
         agg.feed(_envelope("hologram", data={"x": 1}))
         agg.feed(_envelope("hologram", seq=1))
         agg.feed(_envelope("round", seq=2, data={"t": 0.0, "outcomes": {}}))
-        assert agg.unknown_kinds == {"hologram": 2}
+        # A retired kind: older streams carry per-round ``profile`` lines.
+        agg.feed(_envelope("profile", seq=3, data={"round": 0, "stages": {}}))
+        assert agg.unknown_kinds == {"hologram": 2, "profile": 1}
         assert agg.rounds_observed() == 1  # known kinds still reduce
 
     def test_unknown_kind_counter_metric(self):

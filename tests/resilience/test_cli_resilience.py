@@ -77,23 +77,6 @@ class TestBenchBaselineGuards:
         assert problem is None
         assert record["sequential_s"] == 1.0
 
-    def test_profile_records_are_skipped(self, tmp_path):
-        # A ``repro profile --out`` record's speedups are over cached
-        # sequential, so it must never become the bench gate's baseline.
-        path = tmp_path / "b.json"
-        path.write_text(
-            json.dumps({
-                "records": [
-                    {"schema": 1, "smoke": False, "sequential_s": 1.0},
-                    {"schema": 1, "smoke": False, "benchmark": "profile",
-                     "speedup_batch": 1.2},
-                ]
-            })
-        )
-        record, problem = _load_bench_baseline(path, False)
-        assert problem is None
-        assert record["sequential_s"] == 1.0
-
 
 class TestCheckpointFlags:
     def test_checkpoint_every_requires_dir(self, capsys):

@@ -60,15 +60,31 @@ class TestCommands:
 class TestTraceCommand:
     def test_trace_to_file_covers_all_stages(self, tmp_path, capsys):
         from repro.core.link import BackscatterLink
+        from repro.obs import speedscope_stage_totals
 
         out = tmp_path / "trace.jsonl"
-        assert main(["trace", "--out", str(out)]) == 0
+        flame = tmp_path / "flame" / "trace"
+        assert main(["trace", "--out", str(out), "--flame-out", str(flame)]) == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         names = {r["name"] for r in records}
         for stage in BackscatterLink.STAGES:
             assert stage in names
         for r in records:
             assert r["duration_s"] > 0
+
+        collapsed = flame.with_name("trace.collapsed.txt").read_text()
+        stacks = [line.rsplit(" ", 1) for line in collapsed.splitlines()]
+        assert stacks and all(int(weight) > 0 for _, weight in stacks)
+        assert {stack.split(";")[0] for stack, _ in stacks} == {"link.transact"}
+        doc = json.loads(flame.with_name("trace.speedscope.json").read_text())
+        assert doc["profiles"][0]["unit"] == "seconds"
+        durations: dict = {}
+        for r in records:
+            durations[r["name"]] = durations.get(r["name"], 0.0) + r["duration_s"]
+        totals = speedscope_stage_totals(doc)
+        assert set(totals) == set(durations)
+        for name, total in totals.items():
+            assert total == pytest.approx(durations[name], rel=1e-9, abs=1e-12)
 
     def test_trace_to_stdout_is_jsonl(self, capsys):
         assert main(["trace"]) == 0
@@ -327,42 +343,6 @@ class TestStreamingCli:
         assert "metrics snapshot endpoint: http://127.0.0.1:" in (
             capsys.readouterr().out
         )
-
-    def test_profile_smoke_tables_artifacts_and_determinism(
-        self, tmp_path, capsys
-    ):
-        """``repro profile --smoke``: attribution tables, a profile
-        record, and byte-identical flamegraphs across two runs."""
-        flame_a = tmp_path / "a" / "flame"
-        flame_b = tmp_path / "b" / "flame"
-        out = tmp_path / "profile.json"
-        assert main([
-            "profile", "--smoke",
-            "--flame-out", str(flame_a), "--out", str(out),
-        ]) == 0
-        text = capsys.readouterr().out
-        assert "Per-stage attribution" in text
-        assert "Cache savings" in text
-        assert "Batched engine attribution" in text
-        assert "hot stage: link." in text
-
-        record = json.loads(out.read_text())["records"][-1]
-        assert record["benchmark"] == "profile"
-        assert record["flame_agreement"] <= 0.01
-        assert record["verdict"]["hot_stage"].startswith("link.")
-        assert set(record["stages"]) == {
-            "link.pwm_synthesis", "link.downlink_propagation", "link.node",
-            "link.uplink_propagation", "link.hydrophone_dsp",
-        }
-
-        assert main([
-            "profile", "--smoke", "--flame-out", str(flame_b),
-        ]) == 0
-        capsys.readouterr()
-        for suffix in (".collapsed.txt", ".speedscope.json"):
-            first = (flame_a.parent / (flame_a.name + suffix)).read_bytes()
-            second = (flame_b.parent / (flame_b.name + suffix)).read_bytes()
-            assert first == second, f"flamegraph {suffix} not deterministic"
 
     def test_kill_resume_spliced_stream_replays_clean_run(self, tmp_path, capsys):
         """ISSUE acceptance: a stream interrupted mid-campaign and
