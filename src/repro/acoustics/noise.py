@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.state import Stateful
+
 
 def turbulence_noise_db(frequency_hz: float) -> float:
     """Turbulence component of the Wenz curves [dB re uPa^2/Hz]."""
@@ -89,7 +91,7 @@ def _f_khz(frequency_hz: float) -> float:
 
 
 @dataclass
-class AmbientNoiseModel:
+class AmbientNoiseModel(Stateful):
     """Generates ambient noise pressure waveforms.
 
     Parameters
@@ -105,6 +107,8 @@ class AmbientNoiseModel:
         Optional RNG seed for reproducible noise.
     """
 
+    __state__ = ("_rng",)
+
     spectrum: str = "flat"
     flat_level_db: float = 60.0
     shipping_activity: float = 0.5
@@ -116,14 +120,6 @@ class AmbientNoiseModel:
         if self.spectrum not in ("wenz", "flat"):
             raise ValueError(f"unknown spectrum {self.spectrum!r}")
         self._rng = np.random.default_rng(self.seed)
-
-    def snapshot_state(self) -> dict:
-        """JSON-ready RNG stream position (for campaign checkpoints)."""
-        return {"rng": self._rng.bit_generator.state}
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self._rng.bit_generator.state = state["rng"]
 
     def psd_db(self, frequency_hz: float) -> float:
         """Noise PSD [dB re 1 uPa^2/Hz] at ``frequency_hz``."""

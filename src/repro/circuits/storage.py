@@ -31,10 +31,11 @@ import math
 from dataclasses import dataclass, field
 
 from repro.constants import SUPERCAP_FARADS
+from repro.state import Stateful
 
 
 @dataclass
-class Supercapacitor:
+class Supercapacitor(Stateful):
     """A leaky storage capacitor with charge/discharge bookkeeping.
 
     Parameters
@@ -48,6 +49,11 @@ class Supercapacitor:
     initial_voltage_v:
         Starting voltage [V].
     """
+
+    __state__ = (
+        "voltage_v", "harvested_j", "consumed_j", "leaked_j", "clamped_j",
+        "adjusted_j",
+    )
 
     capacitance_f: float = SUPERCAP_FARADS
     leakage_resistance_ohm: float = 2e6
@@ -119,26 +125,6 @@ class Supercapacitor:
             "stored_delta_j": stored_delta,
             "error_j": error,
         }
-
-    def snapshot_state(self) -> dict:
-        """JSON-ready mutable state (voltage plus the joule books)."""
-        return {
-            "voltage_v": self.voltage_v,
-            "harvested_j": self.harvested_j,
-            "consumed_j": self.consumed_j,
-            "leaked_j": self.leaked_j,
-            "clamped_j": self.clamped_j,
-            "adjusted_j": self.adjusted_j,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state` (no adjustment is booked)."""
-        self.voltage_v = state["voltage_v"]
-        self.harvested_j = state["harvested_j"]
-        self.consumed_j = state["consumed_j"]
-        self.leaked_j = state["leaked_j"]
-        self.clamped_j = state["clamped_j"]
-        self.adjusted_j = state["adjusted_j"]
 
     def step(self, dt_s: float, i_in_a: float = 0.0, i_load_a: float = 0.0) -> float:
         """Advance the ODE by ``dt_s`` and return the new voltage [V].

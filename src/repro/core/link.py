@@ -68,6 +68,7 @@ from repro.obs.trace import NULL_SPAN, get_tracer
 from repro.perf.cache import LRUCache, get_cache
 from repro.perf.kernels import stack_rows
 from repro.piezo.transducer import Transducer
+from repro.state import Stateful
 
 
 class CarrierLeg(NamedTuple):
@@ -512,7 +513,7 @@ class NodeReply(NamedTuple):
     uplink_key: tuple | None = None
 
 
-class BackscatterLink:
+class BackscatterLink(Stateful):
     """A single PAB link inside a tank.
 
     Parameters
@@ -558,7 +559,12 @@ class BackscatterLink:
         enabled probe wants is computed instead of recalled.  A link's
         own registry is installed as the global one for each exchange,
         so it also receives the demodulator, sync and FM0 taps.
+
+    Checkpoint state is the noise stream and the node; the rest follows
+    from the construction parameters or is a cache.
     """
+
+    __state__ = ("noise", "node")
 
     #: The five per-exchange stage span names, in pipeline order.
     STAGES = (
@@ -669,31 +675,6 @@ class BackscatterLink:
         # repro.perf.batch.  Always empty outside batch mode.
         self._batch_hints: dict = {}
 
-    # -- checkpointing ---------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """JSON-ready mutable state: the noise RNG stream and the node.
-
-        Geometry, channels, and the leg memo are deterministic functions
-        of construction parameters (the memo is a pure cache), so only
-        the stochastic noise stream and the node's books need saving.
-        """
-        return {
-            "noise": self.noise.snapshot_state(),
-            "node": self.node.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`.
-
-        Pending batch hints are dropped: they were computed for the
-        timeline being replaced.  (Their noise-token keys would refuse
-        to match a diverged stream anyway — this just frees the memory.)
-        """
-        self.noise.restore_state(state["noise"])
-        self.node.restore_state(state["node"])
-        self._batch_hints.clear()
-
     def _noise_token(self):
         """A hashable token for the ambient-noise RNG's exact position.
 
@@ -703,16 +684,7 @@ class BackscatterLink:
         an injected fault, or a mid-round reconfiguration makes the
         streams diverge, and the hint is then simply ignored).
         """
-        state = self.noise.snapshot_state()["rng"]
-
-        def _hashable(value):
-            if isinstance(value, dict):
-                return tuple(
-                    (k, _hashable(v)) for k, v in sorted(value.items())
-                )
-            return value
-
-        return _hashable(state)
+        return repr(self.noise.snapshot_state())
 
     # -- diagnostics ----------------------------------------------------------------------
 

@@ -22,7 +22,8 @@ impairment:
 
 Determinism: every stochastic injector takes ``seed`` (or a ready
 ``rng``); identical seeds reproduce identical fault sequences, which is
-what makes the chaos tests assertable.
+what makes the chaos tests assertable.  A checkpoint carries a whole
+chain's state, down to its innermost link (:mod:`repro.state`).
 """
 
 from __future__ import annotations
@@ -32,40 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.state import Stateful
+
 
 class TransportError(RuntimeError):
     """Raised by a failing transport (and by the exception injector)."""
-
-
-def _rng_state(rng):
-    """JSON-ready numpy Generator state (``None`` for non-numpy RNGs)."""
-    bit_generator = getattr(rng, "bit_generator", None)
-    return None if bit_generator is None else bit_generator.state
-
-
-def _set_rng_state(rng, state) -> None:
-    if state is not None:
-        rng.bit_generator.state = state
-
-
-def _snapshot_inner(inner):
-    """Duck-typed snapshot of the wrapped transport (chains recurse)."""
-    target = getattr(inner, "__self__", inner)
-    fn = getattr(target, "snapshot_state", None)
-    return fn() if callable(fn) else None
-
-
-def _restore_inner(inner, state) -> None:
-    if state is None:
-        return
-    target = getattr(inner, "__self__", inner)
-    fn = getattr(target, "restore_state", None)
-    if not callable(fn):
-        raise ValueError(
-            f"snapshot carries state for wrapped transport {target!r}, "
-            "which cannot restore it"
-        )
-    fn(state)
 
 
 class _GarbledDemod:
@@ -100,7 +72,7 @@ class InjectedResult:
         return False
 
 
-class FaultInjector:
+class FaultInjector(Stateful):
     """Base class: counts transactions, logs fired faults, passes through.
 
     Parameters
@@ -119,6 +91,8 @@ class FaultInjector:
     """
 
     name = "fault"
+
+    __state__ = ("transactions", "faults_fired", "rng", "inner")
 
     #: Pipeline stage this fault class knocks out (mirrored on the
     #: post-mortems via :data:`FAULT_FAILING_STAGES`).
@@ -180,23 +154,9 @@ class FaultInjector:
 
     # -- checkpointing --------------------------------------------------------------------
 
-    def _extra_state(self) -> dict:
-        """Subclass hook: mutable state beyond the base counters/RNG."""
-        return {}
-
-    def _restore_extra(self, extra: dict) -> None:
-        """Inverse of :meth:`_extra_state`."""
-
     def snapshot_state(self) -> dict:
-        """JSON-ready mutable state, recursing through the wrapped chain."""
-        return {
-            "injector": self.name,
-            "transactions": self.transactions,
-            "faults_fired": self.faults_fired,
-            "rng": _rng_state(self.rng),
-            "extra": self._extra_state(),
-            "inner": _snapshot_inner(self.inner),
-        }
+        """The declared state, tagged with the injector's name."""
+        return {"injector": self.name, **super().snapshot_state()}
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`snapshot_state` (validates the chain shape)."""
@@ -205,11 +165,7 @@ class FaultInjector:
                 f"snapshot was taken from injector {state.get('injector')!r}, "
                 f"this transport is {self.name!r}"
             )
-        self.transactions = int(state["transactions"])
-        self.faults_fired = int(state["faults_fired"])
-        _set_rng_state(self.rng, state["rng"])
-        self._restore_extra(state.get("extra", {}))
-        _restore_inner(self.inner, state.get("inner"))
+        super().restore_state(state)
 
 
 class NoiseBurstInjector(FaultInjector):
@@ -226,6 +182,7 @@ class NoiseBurstInjector(FaultInjector):
 
     name = "noise_burst"
     failing_stage = "link.hydrophone_dsp"
+    __state__ = FaultInjector.__state__ + ("_burst_until",)
 
     def __init__(
         self,
@@ -265,12 +222,6 @@ class NoiseBurstInjector(FaultInjector):
             snr_db=self.collapsed_snr_db,
         )
 
-    def _extra_state(self) -> dict:
-        return {"burst_until": self._burst_until}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self._burst_until = int(extra["burst_until"])
-
 
 class BrownoutInjector(FaultInjector):
     """Node goes dark for a recovery interval after a supply dip.
@@ -284,6 +235,7 @@ class BrownoutInjector(FaultInjector):
 
     name = "brownout"
     failing_stage = "link.node"
+    __state__ = FaultInjector.__state__ + ("_dark_until",)
 
     def __init__(
         self,
@@ -350,12 +302,6 @@ class BrownoutInjector(FaultInjector):
             return None
         return InjectedResult(fault=self.name, powered_up=False)
 
-    def _extra_state(self) -> dict:
-        return {"dark_until": self._dark_until}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self._dark_until = int(extra["dark_until"])
-
 
 class GilbertElliottInjector(FaultInjector):
     """Two-state Markov (good/bad) burst-loss channel.
@@ -369,6 +315,7 @@ class GilbertElliottInjector(FaultInjector):
 
     name = "gilbert_elliott"
     failing_stage = "link.uplink_propagation"
+    __state__ = FaultInjector.__state__ + ("bad",)
 
     def __init__(
         self,
@@ -409,12 +356,6 @@ class GilbertElliottInjector(FaultInjector):
             return None
         self._fire(index, state="bad" if self.bad else "good")
         return InjectedResult(fault=self.name, powered_up=True, query_decoded=False)
-
-    def _extra_state(self) -> dict:
-        return {"bad": self.bad}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self.bad = bool(extra["bad"])
 
 
 class GarbledReplyInjector(FaultInjector):

@@ -88,6 +88,9 @@ class ScheduledFaultInjector(FaultInjector):
     """
 
     name = "scheduled"
+    __state__ = FaultInjector.__state__ + (
+        "_dark_until", "_noise_until", "_noise_snr_db",
+    )
 
     def __init__(self, inner, schedule: FaultSchedule, **kwargs) -> None:
         super().__init__(inner, **kwargs)

@@ -26,6 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.state import Stateful
+
 
 class HealthState(str, enum.Enum):
     """Reader-side view of one node's reachability."""
@@ -99,15 +101,20 @@ class HealthPolicy:
 
 
 @dataclass
-class NodeHealth:
+class NodeHealth(Stateful):
     """One node's health tracker.
 
     Feed poll outcomes through :meth:`on_result`; it returns the action
     the reader should take (``"degrade"`` — downgrade the bitrate,
     ``"recovered"`` — the node is back, or ``None``).  Quarantine
     scheduling is exposed through :meth:`due_for_probe` /
-    :meth:`start_probe`.
+    :meth:`start_probe`.  A checkpoint restore fires no events.
     """
+
+    __state__ = (
+        "state", "consecutive_failures", "consecutive_successes",
+        "next_probe_t", "_probe_backoff",
+    )
 
     node: int
     policy: HealthPolicy = field(default_factory=HealthPolicy)
@@ -198,23 +205,3 @@ class NodeHealth:
         self._probe_backoff = float(self.policy.probe_backoff_rounds)
         self.consecutive_failures = 0
         self._transition(HealthState.HEALTHY, t)
-
-    # -- checkpointing --------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """JSON-ready mutable state (policy and log are rebuilt, not saved)."""
-        return {
-            "state": self.state.value,
-            "consecutive_failures": self.consecutive_failures,
-            "consecutive_successes": self.consecutive_successes,
-            "next_probe_t": self.next_probe_t,
-            "probe_backoff": self._probe_backoff,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`; no events fire."""
-        self.state = HealthState(state["state"])
-        self.consecutive_failures = int(state["consecutive_failures"])
-        self.consecutive_successes = int(state["consecutive_successes"])
-        self.next_probe_t = float(state["next_probe_t"])
-        self._probe_backoff = float(state["probe_backoff"])

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.net.messages import Query
 from repro.obs.trace import get_tracer
+from repro.state import Stateful
 
 
 @dataclass
@@ -119,7 +120,7 @@ class MacStats:
 
 
 @dataclass
-class RetryPolicy:
+class RetryPolicy(Stateful):
     """Retransmission policy: bounded retries, backoff, time budget.
 
     Parameters
@@ -139,8 +140,12 @@ class RetryPolicy:
         Total airtime + backoff allowed per query; once exceeded the
         MAC gives up instead of starting another retransmission.
     seed, rng:
-        Jitter reproducibility; ``rng`` wins when both are given.
+        Jitter reproducibility; ``rng`` wins when both are given.  A
+        checkpoint carries only a numpy ``Generator``'s stream position
+        and refuses any other RNG (``TypeError``).
     """
+
+    __state__ = ("rng",)
 
     max_retries: int = 2
     base_backoff_s: float = 0.1
@@ -197,7 +202,7 @@ class RetryPolicy:
 
 
 @dataclass
-class PollingMac:
+class PollingMac(Stateful):
     """Reader-driven polling with bounded, backed-off retransmissions.
 
     Parameters
@@ -232,7 +237,12 @@ class PollingMac:
         histogram are recorded alongside :attr:`stats` (the registry
         view is mergeable across readers the same way
         :meth:`MacStats.merge` is).
+
+    A checkpoint carries the counters, the jitter stream and the
+    transport's state (``None`` for a stateless transport).
     """
+
+    __state__ = ("stats", "retry_policy", "transact")
 
     transact: object
     airtime_estimator: object = None
@@ -332,25 +342,3 @@ class PollingMac:
     def run_schedule(self, queries) -> list:
         """Poll a sequence of queries round-robin; returns all results."""
         return [self.poll(q) for q in queries]
-
-    # -- checkpointing -------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """JSON-ready mutable state: counters plus the jitter RNG stream.
-
-        A non-numpy ``retry_policy.rng`` (tests sometimes inject one) has
-        no serialisable stream position; its slot is saved as ``None``
-        and restore leaves it alone.
-        """
-        rng = getattr(self.retry_policy, "rng", None)
-        bitgen = getattr(rng, "bit_generator", None)
-        return {
-            "stats": dataclasses.asdict(self.stats),
-            "rng": None if bitgen is None else bitgen.state,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self.stats = MacStats(**state["stats"])
-        if state["rng"] is not None:
-            self.retry_policy.rng.bit_generator.state = state["rng"]

@@ -33,11 +33,11 @@ Campaigns are additionally crash-safe (:mod:`repro.resilience`):
 * with a :class:`~repro.resilience.watchdog.WatchdogPolicy`, a poll
   that outlives its wall-clock deadline is abandoned and booked as a
   ``watchdog_timeout`` fault instead of hanging the round;
-* :meth:`ReaderController.snapshot` / :meth:`ReaderController.restore`
-  serialise the campaign state, :meth:`ReaderController.history_rows`
-  its append-only history, and :meth:`ReaderController.run_campaign`
-  can write periodic checkpoints and resume from one with
-  byte-identical reports and digests.
+* the campaign state is declared (:mod:`repro.state`), so
+  ``snapshot_state`` / :meth:`ReaderController.restore` serialise it,
+  :meth:`ReaderController.history_rows` its append-only history, and
+  :meth:`ReaderController.run_campaign` can write periodic checkpoints
+  and resume from one with byte-identical reports and digests.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ from repro.resilience.checkpoint import (
     recorder_path,
     write_checkpoint,
 )
-from repro.resilience.snapshot import restore_transport, transport_state
 from repro.resilience.supervisor import CampaignAbort, SupervisorPolicy, supervise
 from repro.resilience.watchdog import PollWatchdog, WatchdogPolicy, WatchdogTimeout
+from repro.state import Stateful
 from repro.net.messages import (
     BITRATE_TABLE,
     Command,
@@ -75,7 +75,7 @@ from repro.net.messages import (
 
 
 @dataclass
-class NodeRecord:
+class NodeRecord(Stateful):
     """What the reader knows about one node.
 
     Attributes
@@ -97,6 +97,8 @@ class NodeRecord:
         yet; retried before the node's next sensing poll.
     """
 
+    __state__ = ("bitrate", "resonance_mode", "pending_downgrade", "health")
+
     address: int
     bitrate: float | None = None
     resonance_mode: int | None = None
@@ -106,7 +108,7 @@ class NodeRecord:
     pending_downgrade: bool = False
 
 
-class ReaderController:
+class ReaderController(Stateful):
     """Orchestrates configuration, polling, and health of a node set.
 
     Parameters
@@ -190,7 +192,15 @@ class ReaderController:
     ``round_log`` — the per-round outcome records the campaign
     timeline (:mod:`repro.obs.timeline`) is built from.  Neither costs
     anything when omitted.
+
+    ``nodes`` leads ``__state__``, so a checkpoint of another fleet is
+    refused before any state changes.
     """
+
+    __state__ = (
+        "nodes", "_macs", "_round", "_shard_crashes", "_crash_streak",
+        "_quarantined_shards", "metrics", "ledgers", "slo", "analytics",
+    )
 
     def __init__(
         self,
@@ -567,8 +577,8 @@ class ReaderController:
         Values are ABSOLUTE, not increments, so a replay is idempotent:
         a resumed campaign re-streaming an overlapping round overwrites
         the aggregator's view with identical numbers instead of double
-        counting.  The change-tracking dict is deliberately not part of
-        :meth:`snapshot` — after a resume every live metric is simply
+        counting.  The change-tracking dict is deliberately not
+        checkpoint state — after a resume every live metric is simply
         re-published once.  Histograms stay out of the stream (their
         per-observation data is unbounded); they remain available via
         the Prometheus exposition.
@@ -664,9 +674,9 @@ class ReaderController:
                 if isinstance(resume_from, dict)
                 else read_checkpoint(resume_from)
             )
-            if int(doc["state"]["round"]) > rounds:
+            if int(doc["state"]["_round"]) > rounds:
                 raise ValueError(
-                    f"checkpoint is at round {doc['state']['round']}, past "
+                    f"checkpoint is at round {doc['state']['_round']}, past "
                     f"the campaign's {rounds} rounds"
                 )
             self.restore(doc["state"], doc.get("history", ()))
@@ -699,7 +709,7 @@ class ReaderController:
         First the :meth:`history_rows` produced since the previous save
         are appended to ``history.jsonl`` there
         (:class:`~repro.resilience.checkpoint.HistoryFile`), then
-        ``checkpoint-NNNNNN.json`` is written: :meth:`snapshot` plus a
+        ``checkpoint-NNNNNN.json`` is written: the declared state plus a
         ``history`` pointer to the file's prefix as of this save.  The
         first save after a :meth:`restore` truncates the file to the
         restored checkpoint's prefix (or, in another directory, writes
@@ -717,7 +727,7 @@ class ReaderController:
             self._history_rows(self._history_mark, seq=history.lines)
         )
         self._history_mark = mark
-        state = self.snapshot()
+        state = self.snapshot_state()
         state["history"] = self._history_pointer
         path = checkpoint_path(directory, self._round)
         write_checkpoint(path, state, round=self._round, campaign=campaign)
@@ -728,60 +738,6 @@ class ReaderController:
             )
             self.bus.flush()
         return path
-
-    def snapshot(self) -> dict:
-        """The campaign state as a JSON-ready dict.
-
-        State is what the next round reads.  The campaign's history
-        (event log, round log, readings, ledger round records and SoC
-        series) only grows and is not part of it: see
-        :meth:`history_rows`.
-
-        Mapping keys are stringified so the canonical (sorted-keys)
-        JSON rendering is stable across a write/read cycle — Python
-        sorts int keys numerically but their JSON spellings sort
-        lexicographically, which would break the checkpoint integrity
-        hash.  :meth:`restore` converts them back.
-        """
-        state = {
-            "round": self._round,
-            "nodes": {},
-            "macs": {},
-            "health": {},
-            "transports": {},
-            "shards": {
-                "crashes": {
-                    str(a): n for a, n in sorted(self._shard_crashes.items())
-                },
-                "streak": {
-                    str(a): n for a, n in sorted(self._crash_streak.items())
-                },
-                "quarantined": sorted(self._quarantined_shards),
-            },
-        }
-        for addr in sorted(self._macs):
-            key = str(addr)
-            record = self.nodes[addr]
-            state["nodes"][key] = {
-                "bitrate": record.bitrate,
-                "resonance_mode": record.resonance_mode,
-                "pending_downgrade": record.pending_downgrade,
-            }
-            state["macs"][key] = self._macs[addr].snapshot_state()
-            state["health"][key] = record.health.snapshot_state()
-            state["transports"][key] = transport_state(self._macs[addr].transact)
-        if self.metrics is not None:
-            state["metrics"] = self.metrics.snapshot_state()
-        if self.ledgers:
-            state["ledgers"] = {
-                str(a): harness.snapshot_state()
-                for a, harness in sorted(self.ledgers.items())
-            }
-        if self.slo is not None:
-            state["slo"] = self.slo.snapshot_state()
-        if self.analytics is not None:
-            state["analytics"] = self.analytics.snapshot_state()
-        return state
 
     def history_rows(self) -> list:
         """The campaign's whole history as schema-1 stream envelopes.
@@ -842,50 +798,17 @@ class ReaderController:
         return rows
 
     def restore(self, state: dict, history=()) -> None:
-        """Inverse of :meth:`snapshot`: rebuild the campaign mid-flight.
-
-        ``history`` is the campaign's :meth:`history_rows` up to the
-        snapshot (a checkpoint's verified history prefix); the event
-        log, round log, readings and ledger histories are rebuilt from
-        it.  The reader must have been constructed with the same fleet
-        (addresses, transports, policies) as the one that snapshotted;
-        only mutable state is restored.
-        """
-        expected = sorted(self._macs)
-        snapshotted = sorted(int(k) for k in state["nodes"])
-        if snapshotted != expected:
-            raise ValueError(
-                f"checkpoint covers nodes {snapshotted}, reader has {expected}"
-            )
-        self._round = int(state["round"])
+        """Restore a checkpoint's state into a reader built with the
+        same fleet, then rebuild the event log, round log, readings and
+        ledger histories from ``history``: the campaign's
+        :meth:`history_rows` up to it (its verified history prefix)."""
+        self.restore_state(state)
+        for addr, record in self.nodes.items():
+            record.stats = self._macs[addr].stats
         if self._batch_engine is not None:
-            # The hinted-rounds countdown described a timeline this
-            # restore just replaced; replan from the restored state.
+            # The hinted-rounds countdown and the batch hints described
+            # a timeline this restore just replaced; replan.
             self._batch_engine.reset_window()
-        for addr in expected:
-            key = str(addr)
-            record = self.nodes[addr]
-            node_state = state["nodes"][key]
-            record.bitrate = node_state["bitrate"]
-            record.resonance_mode = node_state["resonance_mode"]
-            record.pending_downgrade = bool(node_state["pending_downgrade"])
-            mac = self._macs[addr]
-            mac.restore_state(state["macs"][key])
-            record.stats = mac.stats
-            record.health.restore_state(state["health"][key])
-            restore_transport(mac.transact, state["transports"][key])
-        shards = state["shards"]
-        self._shard_crashes = {int(a): int(n) for a, n in shards["crashes"].items()}
-        self._crash_streak = {int(a): int(n) for a, n in shards["streak"].items()}
-        self._quarantined_shards = {int(a) for a in shards["quarantined"]}
-        if self.metrics is not None and "metrics" in state:
-            self.metrics.restore_state(state["metrics"])
-        for addr, harness in self.ledgers.items():
-            harness.restore_state(state["ledgers"][str(addr)])
-        if self.slo is not None and "slo" in state:
-            self.slo.restore_state(state["slo"])
-        if self.analytics is not None and "analytics" in state:
-            self.analytics.restore_state(state["analytics"])
         self._replay_history(history)
         self._history_file = None
         self._history_pointer = state.get("history")

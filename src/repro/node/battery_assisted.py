@@ -41,8 +41,11 @@ class BatteryAssistedNode(PABNode):
     reflection_gain:
         Linear pressure gain of the active reflection stage (>= 1).
     battery_capacity_j:
-        Usable battery energy [J]; drawn down by operation.
+        Usable battery energy [J]; drawn down by operation.  The energy
+        left is checkpoint state.
     """
+
+    __state__ = PABNode.__state__ + ("battery_energy_j",)
 
     def __init__(
         self,

@@ -30,6 +30,7 @@ from repro.net.addresses import NodeAddress
 from repro.net.messages import BITRATE_TABLE, Command, Query, Response
 from repro.node.power import PowerState
 from repro.perf.cache import get_cache
+from repro.state import Stateful
 
 #: Downlink frames use the paper's 9-bit preamble.
 DOWNLINK_FORMAT = PacketFormat(preamble=DOWNLINK_PREAMBLE)
@@ -44,7 +45,7 @@ class FirmwareState(enum.Enum):
 
 
 @dataclass
-class FirmwareConfig:
+class FirmwareConfig(Stateful):
     """Mutable firmware settings.
 
     Attributes
@@ -66,6 +67,8 @@ class FirmwareConfig:
         RN16s).
     """
 
+    __state__ = ("bitrate", "resonance_mode")
+
     address: NodeAddress
     bitrate: float = 1_000.0
     resonance_mode: int = 0
@@ -73,7 +76,7 @@ class FirmwareConfig:
     uplink_format: PacketFormat = field(default_factory=PacketFormat)
 
 
-class NodeFirmware:
+class NodeFirmware(Stateful):
     """The node's control program.
 
     Parameters
@@ -93,8 +96,14 @@ class NodeFirmware:
         Optional :class:`~repro.obs.ledger.EnergyLedger`; lifecycle
         transitions move its :class:`PowerState` bucket so consumed
         joules land under the state that spent them.  ``None`` (the
-        default) keeps the firmware observability-free.
+        default) keeps the firmware observability-free; a checkpoint
+        restore does not re-sync it.
     """
+
+    __state__ = (
+        "state", "queries_handled", "queries_ignored", "config", "ph_sensor",
+    )
+    state: FirmwareState
 
     def __init__(
         self,
@@ -146,53 +155,6 @@ class NodeFirmware:
         if self.state is FirmwareState.RESPONDING:
             return PowerState.BACKSCATTER
         return PowerState.IDLE
-
-    # -- checkpointing -------------------------------------------------------------
-
-    def _sensor_adcs(self) -> dict:
-        """The attached sensors' ADC converters, by sensor name.
-
-        Each carries a seeded input-noise RNG whose stream position is
-        part of the node's mutable state: a reading consumes draws, so
-        both checkpoint/resume and the batched engine's predictive
-        prepass must be able to save and rewind it exactly.
-        """
-        adcs = {}
-        for name in ("ph_sensor", "pressure_driver", "thermistor"):
-            sensor = getattr(self, name, None)
-            adc = getattr(sensor, "adc", None)
-            if adc is not None and callable(getattr(adc, "snapshot_state", None)):
-                adcs[name] = adc
-        return adcs
-
-    def snapshot_state(self) -> dict:
-        """JSON-ready mutable state (peripherals/format are rebuilt)."""
-        return {
-            "state": self.state.value,
-            "queries_handled": self.queries_handled,
-            "queries_ignored": self.queries_ignored,
-            "bitrate": self.config.bitrate,
-            "resonance_mode": self.config.resonance_mode,
-            "sensor_adcs": {
-                name: adc.snapshot_state()
-                for name, adc in sorted(self._sensor_adcs().items())
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`; the ledger is not re-synced
-        (campaign restore re-wires observability separately)."""
-        self.state = FirmwareState(state["state"])
-        self.queries_handled = int(state["queries_handled"])
-        self.queries_ignored = int(state["queries_ignored"])
-        self.config.bitrate = float(state["bitrate"])
-        self.config.resonance_mode = int(state["resonance_mode"])
-        # Older checkpoints predate ADC stream capture; leave the
-        # converters where they are rather than failing the restore.
-        adc_states = state.get("sensor_adcs", {})
-        for name, adc in self._sensor_adcs().items():
-            if name in adc_states:
-                adc.restore_state(adc_states[name])
 
     # -- downlink ------------------------------------------------------------------
 

@@ -29,6 +29,7 @@ from repro.sensing.i2c import I2CBus
 from repro.sensing.ph import PhSensor
 from repro.sensing.pressure import MS5837, MS5837Driver, WaterColumn
 from repro.sensing.temperature import ThermistorChannel
+from repro.state import Stateful
 
 
 @dataclass
@@ -47,7 +48,7 @@ class Environment:
     true_ph: float = 7.0
 
 
-class PABNode:
+class PABNode(Stateful):
     """A battery-free piezo-acoustic backscatter sensor node.
 
     Parameters
@@ -68,6 +69,8 @@ class PABNode:
         :meth:`power_up_simulator` this node hands out (capacitor joule
         flows).
     """
+
+    __state__ = ("_powered", "firmware")
 
     def __init__(
         self,
@@ -144,17 +147,6 @@ class PABNode:
             self.firmware.boot()
         else:
             self.firmware.brown_out()
-
-    # -- checkpointing ----------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """JSON-ready mutable state (power flag + firmware books)."""
-        return {"powered": self._powered, "firmware": self.firmware.snapshot_state()}
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state` (no boot/brown-out side effects)."""
-        self._powered = bool(state["powered"])
-        self.firmware.restore_state(state["firmware"])
 
     # -- communication ----------------------------------------------------------------
 

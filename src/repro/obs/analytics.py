@@ -34,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.state import Stateful
+
 __all__ = [
     "EwmaDetector",
     "CusumDetector",
@@ -52,7 +54,7 @@ def _round6(value: float) -> float:
 
 
 @dataclass
-class EwmaDetector:
+class EwmaDetector(Stateful):
     """EWMA mean/variance with a z-score trigger.
 
     After ``warmup`` observations, a value whose distance from the
@@ -74,6 +76,7 @@ class EwmaDetector:
     var: float = 0.0
 
     name = "ewma"
+    __state__ = ("n", "mean", "var")
 
     def observe(self, value: float):
         """Feed one sample; returns a detection dict or ``None``."""
@@ -106,17 +109,9 @@ class EwmaDetector:
         self.n += 1
         return detection
 
-    def snapshot_state(self) -> dict:
-        return {"n": self.n, "mean": self.mean, "var": self.var}
-
-    def restore_state(self, state: dict) -> None:
-        self.n = int(state["n"])
-        self.mean = float(state["mean"])
-        self.var = float(state["var"])
-
 
 @dataclass
-class CusumDetector:
+class CusumDetector(Stateful):
     """Two-sided standardized CUSUM against a frozen baseline.
 
     The first ``warmup`` observations estimate the baseline mean and
@@ -142,6 +137,7 @@ class CusumDetector:
     armed: bool = True
 
     name = "cusum"
+    __state__ = ("n", "mean", "m2", "pos", "neg", "armed")
 
     def observe(self, value: float):
         """Feed one sample; returns a detection dict or ``None``."""
@@ -179,24 +175,6 @@ class CusumDetector:
         self.armed = True
         return None
 
-    def snapshot_state(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "m2": self.m2,
-            "pos": self.pos,
-            "neg": self.neg,
-            "armed": self.armed,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.n = int(state["n"])
-        self.mean = float(state["mean"])
-        self.m2 = float(state["m2"])
-        self.pos = float(state["pos"])
-        self.neg = float(state["neg"])
-        self.armed = bool(state["armed"])
-
 
 def _make_detector(kind: str, config: dict):
     if kind == "ewma":
@@ -215,7 +193,7 @@ def _make_detector(kind: str, config: dict):
 
 
 @dataclass
-class AnomalyMonitor:
+class AnomalyMonitor(Stateful):
     """Per-series detector bank fed by the reader once per round.
 
     One detector of each configured kind is lazily created per
@@ -231,6 +209,8 @@ class AnomalyMonitor:
     pre-kill stream.
     """
 
+    __state__ = ("_series", "_hist_state", "counts", "prior_total")
+
     detectors: tuple = ("ewma", "cusum")
     warmup: int = 8
     ewma_alpha: float = 0.25
@@ -244,8 +224,8 @@ class AnomalyMonitor:
     #: Detections emitted before the checkpoint this monitor was
     #: restored from (their envelopes are already on the stream).
     prior_total: int = 0
-    _series: dict = field(default_factory=dict)
-    _hist_state: dict = field(default_factory=dict)
+    _series: dict[tuple[str, int], list] = field(default_factory=dict)
+    _hist_state: dict[str, tuple[int, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.detectors = tuple(self.detectors)
@@ -413,40 +393,22 @@ class AnomalyMonitor:
     # -- checkpointing ------------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """JSON-ready detector state (keys stringified for canonical
-        sorted-keys rendering, same discipline as the reader)."""
-        return {
-            "series": {
-                f"{series}\x1f{node}": [d.snapshot_state() for d in bank]
-                for (series, node), bank in sorted(self._series.items())
-            },
-            "hist": {
-                name: [count, total]
-                for name, (count, total) in sorted(self._hist_state.items())
-            },
-            "counts": dict(sorted(self.counts.items())),
-            "total": self.prior_total + len(self.anomalies),
-        }
+        """The declared state; ``prior_total`` counts every detection so far."""
+        state = super().snapshot_state()
+        state["prior_total"] += len(self.anomalies)
+        return state
 
     def restore_state(self, state: dict) -> None:
-        self._series = {}
-        for key, bank_state in state["series"].items():
-            series, _, node = key.rpartition("\x1f")
-            bank = [
+        """Rebuild the detector banks, then restore them.  The
+        detections so far are on the stream: the list restarts empty,
+        and ``prior_total`` keeps :meth:`summary` whole."""
+        self._series = {
+            tuple(key): [
                 _make_detector(kind, self._config) for kind in self.detectors
             ]
-            for detector, det_state in zip(bank, bank_state):
-                detector.restore_state(det_state)
-            self._series[(series, int(node))] = bank
-        self._hist_state = {
-            name: (int(count), float(total))
-            for name, (count, total) in state["hist"].items()
+            for key, _ in state["_series"]
         }
-        self.counts = {k: int(v) for k, v in state["counts"].items()}
-        # Envelopes before the checkpoint are already on the stream;
-        # the in-memory list restarts empty and the restored counts
-        # keep summary() consistent with the full campaign.
-        self.prior_total = int(state["total"])
+        super().restore_state(state)
         self.anomalies = []
 
 

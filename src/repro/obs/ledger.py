@@ -32,12 +32,13 @@ Disabled is free: nothing here runs unless a ledger is constructed and
 attached — the hot-path cost of *not* using one is a single ``is None``
 check at each hook site (capacitor step, firmware transition).
 
-Checkpoints split a ledger in two.  :meth:`EnergyLedger.snapshot_state`
-is the *state* the next step reads (books, capacitor, SoC stride and
-phase).  The SoC series and ``round_history`` are *history*: they only
-grow, so a checkpoint appends what is new since the previous save
-(:meth:`EnergyLedger.history_since`) to the campaign's history file
-and a restore replays it (:meth:`EnergyLedger.replay_soc_samples`).
+Checkpoints split a ledger in two.  Its declared state
+(:mod:`repro.state`) is what the next step reads (books, capacitor,
+SoC stride and phase).  The SoC series and ``round_history`` are
+*history*: they only grow, so a checkpoint appends what is new since
+the previous save (:meth:`EnergyLedger.history_since`) to the
+campaign's history file and a restore replays it
+(:meth:`EnergyLedger.replay_soc_samples`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import numpy as np
 
 from repro.constants import POWER_UP_THRESHOLD_V
 from repro.node.power import NodePowerModel, PowerState
+from repro.state import Stateful
 
 #: Flow directions the ledger buckets joules under (with a PowerState).
 DIRECTIONS = ("harvested", "consumed", "leaked", "clamped")
@@ -72,7 +74,7 @@ def _unpack_floats(text: str) -> list:
     return np.frombuffer(base64.b64decode(text), dtype="<f8").tolist()
 
 
-class EnergyLedger:
+class EnergyLedger(Stateful):
     """Joule books and SoC telemetry for one battery-free node.
 
     Parameters
@@ -89,6 +91,17 @@ class EnergyLedger:
         dropped and the stride doubles (same bounded-memory contract as
         :class:`~repro.obs.probe.ProbeRegistry` decimation).
     """
+
+    __state__ = (
+        "t", "state", "_state_seconds", "_flows", "_baseline_energy_j",
+        "_baseline_adjusted_j", "_soc_stride", "_soc_phase", "min_voltage_v",
+        "min_powered_voltage_v", "brownouts", "last_voltage_v", "_pushed",
+        "capacitor",
+    )
+    state: PowerState
+    _state_seconds: dict[PowerState, float]
+    _flows: dict[tuple[str, PowerState], float]
+    _pushed: dict[tuple[str, tuple[tuple, ...]], float]
 
     def __init__(
         self,
@@ -417,81 +430,23 @@ class EnergyLedger:
         self.soc_v = self.soc_v[::keep] + _unpack_floats(soc_samples["soc_v"])
 
     def snapshot_state(self) -> dict:
-        """JSON-ready mutable state, including the attached capacitor.
+        """The declared state, the current bucket's slots written back.
 
         History (the SoC series and ``round_history``) is not state: see
         :meth:`history_since`.  ``inf``/``nan`` sentinels survive because
         Python's ``json`` writes and reads the ``Infinity``/``NaN``
         extension tokens.
         """
-        return {
-            "t": self.t,
-            "state": self.state.value,
-            "state_seconds": {s.value: v for s, v in self.state_seconds.items()},
-            "flows": [
-                [direction, state.value, joules]
-                for (direction, state), joules in sorted(
-                    self.flows.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-                )
-            ],
-            "baseline_energy_j": self._baseline_energy_j,
-            "baseline_adjusted_j": self._baseline_adjusted_j,
-            "soc_stride": self._soc_stride,
-            "soc_phase": self._soc_phase,
-            "min_voltage_v": self.min_voltage_v,
-            "min_powered_voltage_v": self.min_powered_voltage_v,
-            "brownouts": self.brownouts,
-            "last_voltage_v": self.last_voltage_v,
-            "pushed": [
-                [name, [list(pair) for pair in labels], value]
-                for (name, labels), value in sorted(self._pushed.items())
-            ],
-            "capacitor": (
-                None if self.capacitor is None
-                else self.capacitor.snapshot_state()
-            ),
-        }
+        self._store_books()
+        return super().snapshot_state()
 
     def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`.
-
-        The history starts empty: replay it afterwards (``round_history``
-        records, then :meth:`replay_soc_samples` in saved order).  The
-        capacitor section restores into the *already attached*
-        capacitor (attachment wires the observer callback, which JSON
-        cannot carry).
-        """
-        self.t = state["t"]
-        self.state = PowerState(state["state"])
-        self._state_seconds = {
-            PowerState(s): v for s, v in state["state_seconds"].items()
-        }
-        self._flows = {
-            (direction, PowerState(s)): joules
-            for direction, s, joules in state["flows"]
-        }
+        """Inverse of :meth:`snapshot_state`, into the *already attached*
+        capacitor.  The history starts empty: replay it afterwards
+        (``round_history`` records, then :meth:`replay_soc_samples`)."""
+        super().restore_state(state)
         self._load_books()
-        self._baseline_energy_j = state["baseline_energy_j"]
-        self._baseline_adjusted_j = state["baseline_adjusted_j"]
-        self.soc_t = []
-        self.soc_v = []
-        self._soc_stride = int(state["soc_stride"])
-        self._soc_phase = int(state["soc_phase"])
-        self.min_voltage_v = state["min_voltage_v"]
-        self.min_powered_voltage_v = state["min_powered_voltage_v"]
-        self.brownouts = int(state["brownouts"])
-        self.last_voltage_v = state["last_voltage_v"]
-        self.round_history = []
-        self._pushed = {
-            (name, tuple(tuple(pair) for pair in labels)): value
-            for name, labels, value in state["pushed"]
-        }
-        if state["capacitor"] is not None:
-            if self.capacitor is None:
-                raise ValueError(
-                    "snapshot carries capacitor state but no capacitor is attached"
-                )
-            self.capacitor.restore_state(state["capacitor"])
+        self.soc_t, self.soc_v, self.round_history = [], [], []
 
     # -- export -----------------------------------------------------------------------
 
@@ -563,7 +518,7 @@ class EnergyLedger:
             )
 
 
-class NodeEnergyHarness:
+class NodeEnergyHarness(Stateful):
     """Round-based energy simulation of one fleet node.
 
     Bridges the reader's per-round virtual clock to the capacitor's ODE:
@@ -594,6 +549,8 @@ class NodeEnergyHarness:
     dt_s:
         ODE sub-step.
     """
+
+    __state__ = ("powered", "bitrate", "ledger")
 
     def __init__(
         self,
@@ -743,19 +700,3 @@ class NodeEnergyHarness:
     def to_metrics(self, registry) -> None:
         """Delegate to the attached ledger."""
         self.ledger.to_metrics(registry)
-
-    # -- checkpointing ----------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """JSON-ready mutable state (the ledger carries the capacitor)."""
-        return {
-            "powered": self.powered,
-            "bitrate": self.bitrate,
-            "ledger": self.ledger.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self.powered = bool(state["powered"])
-        self.bitrate = float(state["bitrate"])
-        self.ledger.restore_state(state["ledger"])

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.state import Stateful
+
 
 #: Default histogram buckets for second-valued latencies (upper bounds).
 LATENCY_BUCKETS_S = (
@@ -42,8 +44,10 @@ def _label_key(labels: dict) -> tuple:
 
 
 @dataclass
-class Counter:
+class Counter(Stateful):
     """Monotonically increasing count."""
+
+    __state__ = ("value",)
 
     name: str
     labels: tuple = ()
@@ -56,8 +60,10 @@ class Counter:
 
 
 @dataclass
-class Gauge:
+class Gauge(Stateful):
     """Point-in-time value (last write wins)."""
+
+    __state__ = ("value",)
 
     name: str
     labels: tuple = ()
@@ -74,7 +80,7 @@ class Gauge:
 
 
 @dataclass
-class Histogram:
+class Histogram(Stateful):
     """Fixed-bucket histogram with cumulative-count exposition.
 
     ``buckets`` holds ascending upper bounds; observations above the
@@ -83,8 +89,10 @@ class Histogram:
     a failed decode's ``nan`` BER must not poison the aggregate.
     """
 
+    __state__ = ("buckets", "bucket_counts", "sum", "count", "nan_count")
+
     name: str
-    buckets: tuple = LATENCY_BUCKETS_S
+    buckets: tuple[float, ...] = LATENCY_BUCKETS_S
     labels: tuple = ()
     bucket_counts: list = field(default_factory=list)
     sum: float = 0.0
@@ -129,7 +137,11 @@ class Histogram:
         return self.sum / finite if finite else float("nan")
 
 
-class MetricsRegistry:
+#: Instrument classes by name, as a registry snapshot records them.
+_INSTRUMENTS = {cls.__name__: cls for cls in (Counter, Gauge, Histogram)}
+
+
+class MetricsRegistry(Stateful):
     """Get-or-create home for instruments, keyed by name + labels.
 
     >>> reg = MetricsRegistry()
@@ -141,6 +153,9 @@ class MetricsRegistry:
     the same object; requesting an existing name as a different
     instrument type raises.
     """
+
+    __state__ = ("_metrics",)
+    _metrics: dict[tuple[str, tuple[tuple[str, str], ...]], object]
 
     def __init__(self) -> None:
         self._metrics: dict = {}
@@ -188,50 +203,18 @@ class MetricsRegistry:
     # -- checkpointing ----------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """JSON-ready dump of every instrument (sorted, deterministic)."""
-        items = []
-        for key in sorted(self._metrics):
-            metric = self._metrics[key]
-            name, labels = key
-            entry = {"name": name, "labels": [list(pair) for pair in labels]}
-            if isinstance(metric, Counter):
-                entry["type"] = "counter"
-                entry["value"] = metric.value
-            elif isinstance(metric, Gauge):
-                entry["type"] = "gauge"
-                entry["value"] = metric.value
-            elif isinstance(metric, Histogram):
-                entry["type"] = "histogram"
-                entry["buckets"] = list(metric.buckets)
-                entry["bucket_counts"] = list(metric.bucket_counts)
-                entry["sum"] = metric.sum
-                entry["count"] = metric.count
-                entry["nan_count"] = metric.nan_count
-            else:  # pragma: no cover - no other instrument types exist
-                raise TypeError(f"unknown instrument type {type(metric).__name__}")
-            items.append(entry)
-        return {"instruments": items}
+        """Every instrument, plus the instrument types in key order."""
+        state = super().snapshot_state()
+        state["types"] = [type(metric).__name__ for metric in self]
+        return state
 
     def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state` (replaces current contents)."""
+        """Rebuild the snapshot's instruments, then restore them
+        (replaces current contents)."""
         self._metrics.clear()
-        for entry in state["instruments"]:
-            labels = dict(tuple(pair) for pair in entry["labels"])
-            kind = entry["type"]
-            if kind == "counter":
-                self._get(Counter, entry["name"], labels).value = float(entry["value"])
-            elif kind == "gauge":
-                self._get(Gauge, entry["name"], labels).value = float(entry["value"])
-            elif kind == "histogram":
-                h = self._get(
-                    Histogram, entry["name"], labels, buckets=tuple(entry["buckets"])
-                )
-                h.bucket_counts = [int(n) for n in entry["bucket_counts"]]
-                h.sum = float(entry["sum"])
-                h.count = int(entry["count"])
-                h.nan_count = int(entry["nan_count"])
-            else:
-                raise ValueError(f"unknown instrument type {kind!r} in snapshot")
+        for ((name, labels), _), kind in zip(state["_metrics"], state["types"]):
+            self._get(_INSTRUMENTS[kind], name, dict(labels))
+        super().restore_state(state)
 
     # -- aggregation ------------------------------------------------------------------
 

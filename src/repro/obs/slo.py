@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import collections
 
+from repro.state import Stateful
+
 #: The standard objective names (free-form names are also accepted).
 OBJECTIVES = ("delivery", "availability", "energy")
 
@@ -44,7 +46,7 @@ OBJECTIVES = ("delivery", "availability", "energy")
 DEFAULT_TARGETS = {"delivery": 0.90, "availability": 0.95, "energy": 0.90}
 
 
-class SLOTracker:
+class SLOTracker(Stateful):
     """Rolling per-node and fleet-wide SLO accounting.
 
     Parameters
@@ -56,6 +58,12 @@ class SLOTracker:
         Rolling-window length in rounds for burn-rate estimates (the
         cumulative books are unbounded).
     """
+
+    __state__ = (
+        "targets", "window", "_counts", "_recent", "rounds_observed", "last_t",
+    )
+    _counts: dict[tuple[str, int], list]
+    _recent: dict[tuple[str, int], collections.deque[tuple]]
 
     def __init__(self, targets: dict | None = None, *, window: int = 20) -> None:
         if window < 1:
@@ -221,40 +229,14 @@ class SLOTracker:
 
     # -- checkpointing ----------------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """JSON-ready mutable state (targets travel too, for validation)."""
-        return {
-            "targets": dict(self.targets),
-            "window": self.window,
-            "counts": [
-                [obj, node, good, bad]
-                for (obj, node), (good, bad) in sorted(self._counts.items())
-            ],
-            "recent": [
-                [obj, node, [list(entry) for entry in recent]]
-                for (obj, node), recent in sorted(self._recent.items())
-            ],
-            "rounds_observed": self.rounds_observed,
-            "last_t": self.last_t,
-        }
-
     def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state` (replaces current books)."""
-        # Values are NOT coerced: JSON preserves int/float identity, and
-        # the fuzz suite asserts snapshot -> restore -> snapshot equality.
-        self.targets = {str(k): float(v) for k, v in state["targets"].items()}
-        self.window = int(state["window"])
-        self._counts = {
-            (obj, int(node)): [good, bad]
-            for obj, node, good, bad in state["counts"]
+        """Inverse of :meth:`snapshot_state` (replaces current books);
+        each rolling window gets its bound back."""
+        super().restore_state(state)
+        self._recent = {
+            key: collections.deque(recent, maxlen=self.window)
+            for key, recent in self._recent.items()
         }
-        self._recent = {}
-        for obj, node, entries in state["recent"]:
-            recent = collections.deque(maxlen=self.window)
-            recent.extend(tuple(entry) for entry in entries)
-            self._recent[(obj, int(node))] = recent
-        self.rounds_observed = int(state["rounds_observed"])
-        self.last_t = state["last_t"]
 
     # -- bulk ingestion ---------------------------------------------------------------
 

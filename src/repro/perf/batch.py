@@ -93,11 +93,12 @@ _UNTRACED = Tracer(enabled=False)
 def resolve_link(transact, *, max_depth: int = 16) -> BackscatterLink | None:
     """The :class:`BackscatterLink` behind a transport callable, if any.
 
-    Mirrors the duck typing of :mod:`repro.resilience.snapshot`: bound
-    methods resolve through ``__self__``, fault-injector chains through
-    their ``inner`` link.  ``None`` for test doubles and other
-    transports with no waveform link behind them — the prepass then
-    leaves that node entirely to the sequential path.
+    Mirrors how the checkpoint codec (:mod:`repro.state`) reaches a
+    transport's state: bound methods resolve through ``__self__``,
+    fault-injector chains through their ``inner`` link.  ``None`` for
+    test doubles and other transports with no waveform link behind
+    them — the prepass then leaves that node entirely to the
+    sequential path.
     """
     obj = transact
     for _ in range(max_depth):
@@ -258,8 +259,11 @@ class BatchedLinkEngine:
         return self._links
 
     def reset_window(self) -> None:
-        """Force a replan on the next round (after a checkpoint restore)."""
+        """Force a replan on the next round (after a checkpoint restore),
+        dropping the hints computed for the timeline it replaced."""
         self._hinted_rounds = 0
+        for link in self.links().values():
+            link._batch_hints.clear()
 
     def _adapt_surplus(self, links: dict) -> None:
         '''Resize each node's retry over-provisioning from last window.

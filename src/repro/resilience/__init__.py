@@ -17,9 +17,9 @@ side's own failures, not just the nodes':
   crash, shard quarantine for repeat offenders, and the
   :class:`~repro.resilience.supervisor.WorkerCrashInjector` drill
   (``repro bench --kill-at`` / ``repro fleet-report --kill-at``).
-* :mod:`repro.resilience.snapshot` — the duck-typed transport state
-  protocol that lets checkpoints see through injector chains and
-  waveform links alike.
+
+What a checkpoint carries is declared on the stateful classes and
+encoded by :mod:`repro.state`, a leaf module this package imports.
 
 See ``docs/RELIABILITY.md`` for budgets, restart policy, and a worked
 kill-and-resume example.
@@ -38,7 +38,6 @@ from repro.resilience.checkpoint import (
     state_integrity,
     write_checkpoint,
 )
-from repro.resilience.snapshot import restore_transport, transport_state
 from repro.resilience.supervisor import (
     CampaignAbort,
     SupervisionOutcome,
@@ -68,9 +67,7 @@ __all__ = [
     "install_worker_crash",
     "latest_checkpoint",
     "read_checkpoint",
-    "restore_transport",
     "state_integrity",
     "supervise",
-    "transport_state",
     "write_checkpoint",
 ]

@@ -7,10 +7,10 @@ into.  A checkpoint is one JSON document::
 
     {
       "kind": "pab-campaign-checkpoint",
-      "schema": 2,
+      "schema": 3,
       "round": 15,
       "campaign": {... how to rebuild the fleet (CLI metadata) ...},
-      "state": {... ReaderController.snapshot() ...,
+      "state": {... ReaderController.snapshot_state() ...,
                 "history": {"file": "history.jsonl", "lines": 812,
                             "bytes": 401233, "sha256": "..."}},
       "integrity": "<sha256 of the canonical state JSON>"
@@ -19,8 +19,9 @@ into.  A checkpoint is one JSON document::
 ``state`` is everything ``run_campaign`` needs to continue as if the
 interruption never happened: per-node RNG/retry streams, health state
 machines, MAC statistics, the metrics registry, energy ledger books,
-SoC decimation stride and phase, SLO trackers, and analytics.  Its
-``history`` pointer names the prefix of the history file that holds
+SoC decimation stride and phase, SLO trackers, and analytics, as the
+state codec (:mod:`repro.state`) encodes the reader's declared state:
+that is schema 3.  Its ``history`` pointer names the prefix of the history file that holds
 the campaign's history up to this checkpoint: the event log, the round
 log, per-node readings, and each energy ledger's round records and SoC
 series.  The pointer sits inside ``state``, so the integrity hash
@@ -65,7 +66,7 @@ import re
 from repro.obs.stream import event_from_line, event_to_line
 
 CHECKPOINT_KIND = "pab-campaign-checkpoint"
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 #: Name of the append-only history file beside the checkpoints.
 HISTORY_NAME = "history.jsonl"
@@ -78,10 +79,11 @@ class CheckpointError(RuntimeError):
 
 
 def _canonical_state_json(state: dict) -> str:
-    # Canonical form for hashing.  Addresses and other mapping keys are
-    # stringified by the snapshot layer, so sort order survives the JSON
-    # round trip (json would render int keys as strings but *sort* them
-    # as ints, breaking write/read hash agreement).
+    # Canonical form for hashing.  The state codec turns every mapping
+    # with non-string keys into a sorted pair list, so sort order
+    # survives the JSON round trip (json would render int keys as
+    # strings but *sort* them as ints, breaking write/read hash
+    # agreement).
     return json.dumps(state, sort_keys=True)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.faults.injectors import FaultInjector, InjectedResult
-from repro.resilience.snapshot import restore_transport, transport_state
+from repro.state import decode, encode
 
 
 class WorkerCrash(BaseException):
@@ -204,10 +204,10 @@ class WorkerCrashInjector(FaultInjector):
     # Snapshot transparency: checkpoints see straight through to the
     # wrapped transport (see class docstring).
     def snapshot_state(self):
-        return transport_state(self.inner)
+        return encode(self.inner)
 
     def restore_state(self, state) -> None:
-        restore_transport(self.inner, state)
+        decode(state, self.inner, where="WorkerCrashInjector.inner")
 
 
 def install_worker_crash(

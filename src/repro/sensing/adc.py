@@ -11,9 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.state import Stateful
+
 
 @dataclass
-class SarADC:
+class SarADC(Stateful):
     """An n-bit SAR ADC.
 
     Parameters
@@ -27,6 +29,8 @@ class SarADC:
     seed:
         RNG seed for the noise source.
     """
+
+    __state__ = ("_rng",)
 
     resolution_bits: int = 10
     reference_v: float = 1.8
@@ -70,18 +74,3 @@ class SarADC:
             raise ValueError("need at least one sample")
         codes = [self.sample(voltage_v) for _ in range(n)]
         return float(np.mean(codes)) * self.lsb_v
-
-    # -- checkpointing -------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """JSON-ready RNG stream position of the input-noise source.
-
-        Sensor conversions draw from this stream, so a byte-identical
-        campaign resume must put the converter back on the exact draw
-        it would have reached uninterrupted.
-        """
-        return {"rng": self._rng.bit_generator.state}
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self._rng.bit_generator.state = state["rng"]

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.state import Stateful
+
 #: Gas constant [J/(mol K)], Faraday constant [C/mol].
 _R = 8.314462618
 _F = 96485.33212
@@ -82,12 +84,14 @@ class PhAnalogFrontEnd:
         return (v_out - self.mid_rail_v) / self.gain
 
 
-class PhSensor:
+class PhSensor(Stateful):
     """The complete firmware-visible pH sensing chain.
 
     Combines probe, AFE, and ADC; :meth:`read_ph` is what the node's
     firmware calls to fill a packet payload.
     """
+
+    __state__ = ("adc",)
 
     def __init__(self, probe=None, afe=None, adc=None) -> None:
         from repro.sensing.adc import SarADC

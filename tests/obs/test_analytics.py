@@ -386,7 +386,7 @@ class TestCampaignDeterminism:
 
     def test_monitor_state_checkpoints_with_reader(self):
         reader, _ = _run_streamed(rounds=10)
-        state = reader.snapshot()
+        state = reader.snapshot_state()
         assert "analytics" in state
         json.dumps(state)  # checkpoint must stay JSON-serializable
         fresh = _make_fleet()

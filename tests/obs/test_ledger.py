@@ -378,12 +378,12 @@ class DictBookedReference:
         self.ledger = ledger
         self.t = snap["t"]
         self.state_seconds = {
-            PowerState(s): v for s, v in snap["state_seconds"].items()
+            PowerState(s): v for s, v in snap["_state_seconds"]
         }
-        self.flows = {(d, PowerState(s)): j for d, s, j in snap["flows"]}
+        self.flows = {(d, PowerState(s)): j for (d, s), j in snap["_flows"]}
         self.soc_t, self.soc_v = ledger.soc_series()
-        self.soc_stride = snap["soc_stride"]
-        self.soc_phase = snap["soc_phase"]
+        self.soc_stride = snap["_soc_stride"]
+        self.soc_phase = snap["_soc_phase"]
         self.min_voltage_v = snap["min_voltage_v"]
         self.min_powered_voltage_v = snap["min_powered_voltage_v"]
         self.last_voltage_v = snap["last_voltage_v"]
@@ -442,14 +442,11 @@ class DictBookedReference:
         snap = self.ledger.snapshot_state()
         snap.update(
             t=self.t,
-            state_seconds={s.value: v for s, v in self.state_seconds.items()},
-            flows=[
-                [d, s.value, j]
-                for (d, s), j in sorted(
-                    self.flows.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-                )
-            ],
-            soc_stride=self.soc_stride, soc_phase=self.soc_phase,
+            _state_seconds=sorted(
+                [s.value, v] for s, v in self.state_seconds.items()
+            ),
+            _flows=sorted([[d, s.value], j] for (d, s), j in self.flows.items()),
+            _soc_stride=self.soc_stride, _soc_phase=self.soc_phase,
             min_voltage_v=self.min_voltage_v,
             min_powered_voltage_v=self.min_powered_voltage_v,
             last_voltage_v=self.last_voltage_v,

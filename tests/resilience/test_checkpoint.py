@@ -290,15 +290,21 @@ class TestHistoryPrefix:
         assert read_checkpoint(path)["history"] == rows
 
     def test_schema_1_file_refused(self, tmp_path):
-        """A schema-1 checkpoint embeds its history; it is not resumable."""
-        state = {"round": 3, "events": [], "round_log": []}
-        doc = {
-            "kind": CHECKPOINT_KIND, "schema": 1, "round": 3, "campaign": {},
-            "state": state, "integrity": state_integrity(state),
-        }
-        path = tmp_path / "checkpoint-000003.json"
-        path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-        assert "schema 1" in one_line_error(path)
+        """Older checkpoints are not resumable: schema 1 embeds its
+        history, schema 2 spells the state in its hand-written layout."""
+        for schema, state in [
+            (1, {"round": 3, "events": [], "round_log": []}),
+            (2, {"round": 3, "nodes": {}, "macs": {}, "shards": {}}),
+        ]:
+            doc = {
+                "kind": CHECKPOINT_KIND, "schema": schema, "round": 3,
+                "campaign": {}, "state": state,
+                "integrity": state_integrity(state),
+            }
+            path = tmp_path / f"schema-{schema}" / "checkpoint-000003.json"
+            path.parent.mkdir()
+            path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+            assert f"schema {schema}" in one_line_error(path)
 
     def test_missing_history_file(self, tmp_path):
         (path,), _ = checkpoint_with_history(tmp_path)

@@ -160,7 +160,7 @@ class TestSnapshotShape:
     def test_snapshot_is_checkpoint_serialisable(self, tmp_path):
         reader, _, _ = build_fleet()
         reader.run_campaign(Command.READ_TEMPERATURE, rounds=4)
-        state = reader.snapshot()
+        state = reader.snapshot_state()
         path = write_checkpoint(tmp_path / "ck.json", state, round=4)
         doc = read_checkpoint(path)
         assert doc["state"] == json.loads(json.dumps(state, sort_keys=True))
@@ -168,14 +168,14 @@ class TestSnapshotShape:
     def test_snapshot_restore_snapshot_is_exact(self):
         reader, _, _ = build_fleet()
         reader.run_campaign(Command.READ_TEMPERATURE, rounds=5)
-        state = json.loads(json.dumps(reader.snapshot(), sort_keys=True))
+        state = json.loads(json.dumps(reader.snapshot_state(), sort_keys=True))
         history = [
             event_from_line(event_to_line(row)) for row in reader.history_rows()
         ]
         twin, _, _ = build_fleet()
         twin.restore(state, history)
-        assert json.dumps(twin.snapshot(), sort_keys=True) == json.dumps(
-            reader.snapshot(), sort_keys=True
+        assert json.dumps(twin.snapshot_state(), sort_keys=True) == json.dumps(
+            reader.snapshot_state(), sort_keys=True
         )
         assert [event_to_line(r) for r in twin.history_rows()] == [
             event_to_line(r) for r in reader.history_rows()
@@ -330,7 +330,7 @@ class TestSocSeriesReplay:
         assert len(samples) == 2
         assert samples[1]["keep"] > 1  # decimated between the two saves
         assert math.prod(s["keep"] for s in samples) == (
-            doc["state"]["ledgers"]["7"]["soc_stride"]
+            dict(doc["state"]["ledgers"])[7]["_soc_stride"]
         )
         twin, twin_ledger = self.make()
         twin.restore(doc["state"], doc["history"])

@@ -8,17 +8,34 @@ int/float identity, so any coercion in a restore path shows up here.
 """
 
 import json
+import random
 
 import numpy as np
 import pytest
 
-from repro.faults import EventLog, GilbertElliottInjector
-from repro.net import HealthPolicy, RetryPolicy
+from repro.acoustics import POOL_A, Position
+from repro.acoustics.noise import AmbientNoiseModel
+from repro.core import BackscatterLink, Projector
+from repro.faults import (
+    BrownoutInjector,
+    EventLog,
+    GilbertElliottInjector,
+    NoiseBurstInjector,
+)
+from repro.net import Command, HealthPolicy, Query, RetryPolicy
+from repro.net.addresses import NodeAddress
 from repro.net.health import NodeHealth
 from repro.net.mac import PollingMac
+from repro.net.messages import bitrate_code
+from repro.node.firmware import FirmwareConfig
+from repro.node.node import PABNode
 from repro.obs import MetricsRegistry, SLOTracker
+from repro.obs.analytics import CusumDetector, EwmaDetector
 from repro.obs.ledger import EnergyLedger, NodeEnergyHarness
 from repro.node.power import PowerState
+from repro.piezo import Transducer
+from repro.sensing.adc import SarADC
+from repro.sensing.ph import PhSensor
 
 pytestmark = pytest.mark.resilience
 
@@ -120,6 +137,15 @@ class TestRetryRngStream:
         mac.restore_state(state)
         assert [policy.backoff_s(i % 3) for i in range(10)] == expected
 
+    def test_an_rng_without_a_stream_position_is_refused(self):
+        """Saving ``None`` for it would let a resume diverge silently."""
+        mac = PollingMac(
+            transact=lambda q: None,
+            retry_policy=RetryPolicy(rng=random.Random(0)),
+        )
+        with pytest.raises(TypeError, match="RetryPolicy.rng"):
+            mac.snapshot_state()
+
 
 class TestEnergyLedger:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -184,3 +210,120 @@ class TestInjectorChains:
         # Future loss pattern identical.
         for _ in range(30):
             assert a(object()).success == b(object()).success
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("cls, kwargs", [
+        (BrownoutInjector, {"prob": 0.3, "dark_for": 3}),
+        (NoiseBurstInjector, {"burst_prob": 0.2, "duration": 3}),
+    ])
+    def test_window_injector_round_trip(self, seed, cls, kwargs):
+        def ok(query):
+            return type("R", (), {"success": True})()
+
+        a = cls(ok, seed=seed, **kwargs)
+        for _ in range(13 + seed % 7):
+            a(object())
+        b = cls(ok, seed=seed + 1, **kwargs)
+        assert_exact_round_trip(a, b)
+        for _ in range(30):
+            assert a(object()).success == b(object()).success
+
+
+class TestDetectors:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("cls", [EwmaDetector, CusumDetector])
+    def test_round_trip(self, seed, cls):
+        rng = np.random.default_rng(seed)
+        a, b = cls(warmup=4), cls(warmup=4)
+        for _ in range(20):
+            a.observe(float(rng.normal()))
+        assert_exact_round_trip(a, b)
+        for x in rng.normal(3.0, 1.0, size=20):
+            assert a.observe(float(x)) == b.observe(float(x))
+
+
+class TestWaveformSide:
+    """The node, its firmware and sensors, and the link's noise stream."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_noise_stream(self, seed):
+        a = AmbientNoiseModel(seed=seed)
+        a.generate(100 + seed, 96_000.0)
+        b = AmbientNoiseModel(seed=seed + 1)
+        assert_exact_round_trip(a, b)
+        assert a.generate(64, 96_000.0).tobytes() == (
+            b.generate(64, 96_000.0).tobytes()
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_adc_and_ph_sensor(self, seed):
+        a = PhSensor(adc=SarADC(seed=seed))
+        for _ in range(1 + seed % 5):
+            a.read_ph(7.0)
+        b = PhSensor(adc=SarADC(seed=seed + 1))
+        assert_exact_round_trip(a.adc, SarADC(seed=seed + 2))
+        assert_exact_round_trip(a, b)
+        assert [a.read_ph(6.5) for _ in range(5)] == [
+            b.read_ph(6.5) for _ in range(5)
+        ]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_firmware_config(self, seed):
+        a = FirmwareConfig(address=NodeAddress(7))
+        a.bitrate, a.resonance_mode = [100.0, 2_000.0][seed % 2], seed % 3
+        assert_exact_round_trip(a, FirmwareConfig(address=NodeAddress(7)))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_node_and_firmware(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def node():
+            n = PABNode(address=7, channel_frequencies_hz=(15e3, 14e3))
+            n.force_power(True)
+            return n
+
+        a = node()
+        for _ in range(8):
+            command = [Command.READ_PH, Command.READ_TEMPERATURE, Command.PING][
+                int(rng.integers(3))
+            ]
+            a.respond(Query(destination=7, command=command))
+        a.respond(Query(
+            destination=7, command=Command.SET_BITRATE,
+            argument=bitrate_code(200.0),
+        ))
+        a.respond(Query(
+            destination=7, command=Command.SET_RESONANCE_MODE, argument=1,
+        ))
+        b = PABNode(address=7, channel_frequencies_hz=(15e3, 14e3))
+        assert_exact_round_trip(a.firmware, node().firmware)
+        assert_exact_round_trip(a, b)
+        assert b.is_powered and b.firmware.config.resonance_mode == 1
+        query = Query(destination=7, command=Command.READ_PH)
+        for _ in range(3):
+            assert a.respond(query) == b.respond(query)
+
+    def test_link_next_exchange_matches(self):
+        def link():
+            transducer = Transducer.from_cylinder_design()
+            f = transducer.resonance_hz
+            return BackscatterLink(
+                POOL_A,
+                Projector(transducer=transducer, drive_voltage_v=60.0, carrier_hz=f),
+                Position(0.5, 1.5, 0.6),
+                PABNode(address=7, channel_frequencies_hz=(f,), bitrate=2_000.0),
+                Position(0.97, 1.6, 0.62),
+                Position(1.0, 0.8, 0.6),
+                noise=AmbientNoiseModel(flat_level_db=35.0, seed=5),
+            )
+
+        a, b = link(), link()
+        query = Query(destination=7, command=Command.READ_PH)
+        for _ in range(2):
+            a.run_query(query)
+        assert_exact_round_trip(a, b)
+        ra, rb = a.run_query(query), b.run_query(query)
+        assert ra.success
+        assert (ra.success, ra.demod.packet.payload, ra.snr_db) == (
+            rb.success, rb.demod.packet.payload, rb.snr_db
+        )

@@ -10,7 +10,6 @@ from repro.resilience import (
     campaign_digest,
     install_worker_crash,
     supervise,
-    transport_state,
 )
 
 from .conftest import build_fleet
@@ -156,9 +155,9 @@ class TestCrossModeIdentity:
 class TestInjectorTransparency:
     def test_checkpoints_see_through_the_injector(self):
         reader, _, _ = build_fleet()
-        bare = transport_state(reader._macs[0x20].transact)
+        bare = reader._macs[0x20].snapshot_state()
         install_worker_crash(reader, 0x20, rounds=(99,))
-        wrapped = transport_state(reader._macs[0x20].transact)
+        wrapped = reader._macs[0x20].snapshot_state()
         assert wrapped == bare
 
     def test_unknown_node_is_a_loud_error(self):
