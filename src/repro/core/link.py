@@ -21,11 +21,19 @@ Every exchange, observed or not, runs one path: the node's side of
 step 3 runs for real, and the pre-noise waveforms go through a per-link
 leg memo that ``caching_disabled()`` turns into a pass-through.
 
-The waveform stages of steps 2-4 (``_incident``, ``_direct``,
-``_envelope``, ``_carrier_legs``, ``_uplink_legs``) take one row per
-link as an (N, samples) stack.  A live exchange is the one-row call,
-and the batched fleet engine (:mod:`repro.perf.batch`) calls the same
-functions on groups of rows, so both modes share one implementation.
+The waveform stages of steps 2-4 (``_query_spectra``,
+``_query_envelopes``, ``_direct``, ``_carrier_legs``, ``_uplink_legs``)
+take one row per link as an (N, samples) stack.  A live exchange is the
+one-row call, and the batched fleet engine (:mod:`repro.perf.batch`)
+calls the same functions on groups of rows, so both modes share one
+implementation.
+
+The node's query decode needs only the envelope's bandwidth, which the
+PWM symbols set, not the carrier.  So the query's propagation spectrum
+(``_query_spectra``) is filtered by the node's band-pass and detector
+low-pass as bin gains around the carrier, and one short inverse
+transform gives the envelope at ``sample_rate / ENVELOPE_DECIMATION``
+(``_query_envelopes``), where the firmware decodes it.
 
 The uplink is a linear system, and a reply changes the node's
 reflection only over its reply window.  So the carrier leg propagates
@@ -56,7 +64,7 @@ from repro.acoustics.doppler import apply_doppler_at
 from repro.acoustics.geometry import Position, Tank
 from repro.acoustics.noise import AmbientNoiseModel
 from repro.dsp.demod import DemodResult
-from repro.dsp.filters import butter_bandpass, envelope_detect
+from repro.dsp.filters import envelope_detect, zero_phase_gain
 from repro.dsp.metrics import bit_error_rate
 from repro.dsp.spectral import band_snr_db
 from repro.core.hydrophone import Hydrophone
@@ -140,6 +148,12 @@ def _rms(x) -> float:
 #: filter rings for far fewer samples, so its circular wrap lands on
 #: silence and a cut's transient dies out before the samples kept.
 REPLY_GUARD = 1_024
+
+#: The node decodes its query envelope at ``sample_rate /
+#: ENVELOPE_DECIMATION`` (6 kHz at 96 kHz).  The PWM symbols' 5 and
+#: 10 ms pulses and 8 ms gaps, and the firmware's 400 Hz smoothing, set
+#: the bandwidth the envelope needs, not the carrier.
+ENVELOPE_DECIMATION = 16
 
 
 def _fast_len(n: int) -> int:
@@ -247,12 +261,67 @@ def _dilate(links, rows, starts, lengths) -> None:
             row[:] = apply_doppler_at(row, start, length, link.node_velocity_mps)
 
 
-def _incident(links, tx) -> np.ndarray:
-    """Incident pressure at each row's node [Pa], from its projector's ``tx`` row."""
-    gains = np.array([link.beam_gain_node for link in links])[:, None]
-    return gains * AcousticChannel.propagate(
-        [link.ch_projector_node for link in links], tx
+def _envelope_len(n: int) -> int:
+    """The transform length of a length-``n`` query propagation.
+
+    A 5-smooth multiple of :data:`ENVELOPE_DECIMATION`, so the node's
+    envelope (:func:`_query_envelopes`) comes out at exactly
+    ``sample_rate / ENVELOPE_DECIMATION`` whatever the query's length.
+    """
+    return ENVELOPE_DECIMATION * scipy.fft.next_fast_len(
+        -(-n // ENVELOPE_DECIMATION), True
     )
+
+
+def _query_spectra(channels, gains, tx) -> np.ndarray:
+    """The propagation spectrum of each query row ``tx[i]`` at its node.
+
+    :meth:`AcousticChannel.spectra` of row i through ``channels[i]``,
+    times ``gains[i]``, with the rows zero-padded so that the transform
+    runs at :func:`_envelope_len` of the propagation's length ``n``: the
+    inverse real transform of a row, cut to ``n``, is the incident wave.
+    """
+    m = len(channels[0]._impulse)
+    padded = np.zeros((len(tx), _envelope_len(tx.shape[-1] + m - 1) - m + 1))
+    padded[:, : tx.shape[-1]] = tx
+    spectra = AcousticChannel.spectra(channels, padded)
+    spectra *= np.asarray(gains, dtype=float)[:, None]
+    return spectra
+
+
+def _query_envelopes(
+    spectra, n: int, carrier_hz: float, band, sample_rate: float
+) -> np.ndarray:
+    """The query envelope each row's node detects, at the envelope's low rate.
+
+    ``spectra`` are :func:`_query_spectra` rows of incident waves ``n``
+    samples long.  The node's resonant element passes its receive
+    ``band`` (an order-2 band-pass, :meth:`PABNode.receive_band`), and
+    the PWM detector rectifies and low-passes that at a tenth of the
+    carrier (:func:`envelope_detect`).  Both filters act as their
+    zero-phase gains on the bins within half the low rate of the
+    carrier, and one complex inverse transform of those bins, at
+    ``1 / ENVELOPE_DECIMATION`` of the length, is the filtered incident's
+    analytic signal at ``sample_rate / ENVELOPE_DECIMATION``: its
+    magnitude is the envelope the detector holds, cut to
+    ``ceil(n / ENVELOPE_DECIMATION)`` samples.  The detector's low-pass
+    so acts before the magnitude rather than after the rectifier; the
+    two agree on the pulse plateaus and part only at the pulse edges,
+    where the firmware's 400 Hz smoothing dominates.  Every row shares
+    one band, carrier and sample rate.
+    """
+    fast = 2 * (spectra.shape[-1] - 1)
+    short = fast // ENVELOPE_DECIMATION
+    lo = int(round(carrier_hz * fast / sample_rate)) - short // 2
+    lo = min(max(lo, 0), spectra.shape[-1] - short)
+    freqs = (lo + np.arange(short)) * (sample_rate / fast)
+    # The one-sided analytic spectrum doubles each bin; the short
+    # inverse divides by a transform 1 / ENVELOPE_DECIMATION as long.
+    gain = (2.0 / ENVELOPE_DECIMATION) * zero_phase_gain(
+        freqs, band, sample_rate, order=2, btype="band"
+    ) * zero_phase_gain(np.abs(freqs - carrier_hz), carrier_hz / 10.0, sample_rate)
+    rows = scipy.fft.ifft(spectra[:, lo : lo + short] * gain, axis=-1)
+    return np.abs(rows[:, : -(-n // ENVELOPE_DECIMATION)])
 
 
 def _direct(links, tx) -> np.ndarray:
@@ -260,23 +329,6 @@ def _direct(links, tx) -> np.ndarray:
     gains = np.array([link.beam_gain_hydrophone for link in links])[:, None]
     return gains * AcousticChannel.propagate(
         [link.ch_projector_hydrophone for link in links], tx
-    )
-
-
-def _envelope(links, incident) -> np.ndarray:
-    """The query envelope each row's node detects in its ``incident`` row.
-
-    The node's resonant element passes its receive band
-    (:meth:`BackscatterLink._node_band`), and the PWM detector rectifies
-    and low-passes that.  Every row shares ``links[0]``'s band, carrier
-    and sample rate.
-    """
-    link = links[0]
-    fs = link.sample_rate
-    lo, hi = link._node_band()
-    return envelope_detect(
-        butter_bandpass(incident, lo, hi, fs, order=2),
-        link.projector.carrier_hz, fs,
     )
 
 
@@ -747,12 +799,6 @@ class BackscatterLink(Stateful):
 
     # -- waveform helpers ---------------------------------------------------------------
 
-    def _node_band(self) -> tuple[float, float]:
-        """The node's receive band around its channel, inside (0, Nyquist)."""
-        f0 = self.node.channel_frequency_hz
-        half = max(self.node.transducer.bandwidth_hz, 1_000.0)
-        return max(f0 - half, 1.0), min(f0 + half, self.sample_rate / 2.0 - 1.0)
-
     def _reradiation_response(self, n_samples: int) -> np.ndarray:
         """The re-radiation gain vector for one transform length, shared.
 
@@ -897,7 +943,7 @@ class BackscatterLink(Stateful):
             probes.capture(
                 "link.downlink_propagation", "incident_carrier",
                 waveform=incident, sample_rate=fs, segment="carrier",
-                band_snr_db=band_snr_db(incident, fs, *self._node_band()),
+                band_snr_db=band_snr_db(incident, fs, *self.node.receive_band(fs)),
             )
         with stage("link.uplink_propagation", segment="idle", samples=kept):
             reflected = AcousticChannel.propagate(
@@ -1155,21 +1201,29 @@ class BackscatterLink(Stateful):
         with stage(
             "link.downlink_propagation", segment="query", samples=len(query_wave)
         ):
-            incident = _incident([self], query_wave[None])
+            spectra = _query_spectra(
+                [self.ch_projector_node], [self.beam_gain_node], query_wave[None]
+            )
+        n = len(query_wave) + len(self.ch_projector_node._impulse) - 1
+        band = self.node.receive_band(fs)
         if probes.wants("link.downlink_propagation"):
+            incident = scipy.fft.irfft(spectra[0], 2 * (spectra.shape[-1] - 1))[:n]
             probes.capture(
                 "link.downlink_propagation", "incident_query",
-                waveform=incident[0], sample_rate=fs, segment="query",
-                band_snr_db=band_snr_db(incident[0], fs, *self._node_band()),
+                waveform=incident, sample_rate=fs, segment="query",
+                band_snr_db=band_snr_db(incident, fs, *band),
             )
+        rate = fs / ENVELOPE_DECIMATION
         with stage("link.node", phase="decode_query") as sp:
-            env = _envelope([self], incident)[0]
-            decoded = self.node.receive_query(env, fs)
+            env = _query_envelopes(
+                spectra, n, self.projector.carrier_hz, band, fs
+            )[0]
+            decoded = self.node.receive_query(env, rate)
             sp.set(decoded=decoded is not None)
         if probes.wants("link.node"):
             probes.capture(
                 "link.node", "query_envelope",
-                waveform=env, sample_rate=fs, decoded=decoded is not None,
+                waveform=env, sample_rate=rate, decoded=decoded is not None,
             )
         return decoded
 
@@ -1395,7 +1449,9 @@ class BackscatterLink(Stateful):
             carrier_only_s + switching_s, fs
         )
         tx = np.concatenate([np.zeros(n_sil), carrier])
-        incident = _incident([self], tx[None])[0]
+        incident = self.beam_gain_node * AcousticChannel.propagate(
+            [self.ch_projector_node], tx[None]
+        )[0]
         # Build the switching chip train (one chip per half switching period).
         n_toggles = int(switching_s * switch_rate_hz * 2.0)
         chips = np.arange(n_toggles) % 2

@@ -18,9 +18,10 @@ from repro.acoustics.channel import AcousticChannel
 from repro.acoustics.geometry import Position, Tank
 from repro.acoustics.noise import AmbientNoiseModel
 from repro.core.hydrophone import Hydrophone
+from repro.core.link import ENVELOPE_DECIMATION, _query_envelopes, _query_spectra
 from repro.core.projector import MultiToneDownlink, Projector
 from repro.dsp.demod import BackscatterDemodulator
-from repro.dsp.filters import butter_bandpass, envelope_detect
+from repro.dsp.filters import butter_bandpass
 from repro.dsp.fm0 import fm0_expected_chips, fm0_ml_decode
 from repro.dsp.metrics import sinr_db
 from repro.dsp.mimo import (
@@ -191,17 +192,13 @@ class PABNetwork:
             response = None
             if node.try_power_up(p_node, f):
                 q_wave = projector.query_waveform(query, fs)
-                incident = ch.apply(q_wave, include_noise=False).waveform
-                half_bw = max(node.transducer.bandwidth_hz, 1_000.0)
-                selective = butter_bandpass(
-                    incident,
-                    max(f - half_bw, 1.0),
-                    min(f + half_bw, fs / 2 - 1.0),
-                    fs,
-                    order=2,
-                )
+                envelope = _query_envelopes(
+                    _query_spectra([ch], [1.0], q_wave[None]),
+                    len(q_wave) + len(ch._impulse) - 1,
+                    f, node.receive_band(fs), fs,
+                )[0]
                 rx_query = node.receive_query(
-                    envelope_detect(selective, f, fs), fs
+                    envelope, fs / ENVELOPE_DECIMATION
                 )
                 if rx_query is not None:
                     response = node.respond(rx_query)

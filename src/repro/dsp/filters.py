@@ -129,6 +129,30 @@ def butter_bandpass(
     return _sosfiltfilt(sos, zi, x)
 
 
+def zero_phase_gain(
+    freqs,
+    cutoff,
+    sample_rate: float,
+    *,
+    order: int = 4,
+    btype: str = "low",
+) -> np.ndarray:
+    """``|H(f)|^2`` of a zero-phase Butterworth filter at ``freqs`` [Hz].
+
+    The gain :func:`butter_lowpass` (``btype="low"``, ``cutoff`` in Hz)
+    or :func:`butter_bandpass` (``btype="band"``, ``cutoff`` a
+    ``(low, high)`` tuple) applies away from the signal's ends: the same
+    cached design, evaluated on the unit circle, once forward and once
+    back.
+    """
+    sos, _zi = _butter_design(order, cutoff, sample_rate, btype)
+    z = np.exp((-2j * np.pi / sample_rate) * np.asarray(freqs, dtype=float))
+    h = np.ones_like(z)
+    for b0, b1, b2, a0, a1, a2 in sos:
+        h *= (b0 + z * (b1 + z * b2)) / (a0 + z * (a1 + z * a2))
+    return h.real**2 + h.imag**2
+
+
 def envelope_detect(
     waveform,
     carrier_hz: float,

@@ -204,6 +204,16 @@ class PABNode(Stateful):
         """The active mode's channel frequency."""
         return self.active_mode.frequency_hz
 
+    def receive_band(self, sample_rate: float) -> tuple[float, float]:
+        """The receive band around the channel, inside (0, Nyquist) [Hz].
+
+        The band the resonant element passes to the PWM detector: at
+        least 1 kHz on each side of the active channel.
+        """
+        f0 = self.channel_frequency_hz
+        half = max(self.transducer.bandwidth_hz, 1_000.0)
+        return max(f0 - half, 1.0), min(f0 + half, sample_rate / 2.0 - 1.0)
+
     def __repr__(self) -> str:
         state = self.firmware.state.value
         return (

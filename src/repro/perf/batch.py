@@ -30,8 +30,8 @@ sequential loop.  Once every ``window`` rounds it plans the coming
   below sees groups of ``window`` rows or more.
 * **Batch** (phase B): compute every missing leg with the link's own
   stacked stages (:mod:`repro.core.link`) — downlink envelopes
-  (``_incident``, then ``_envelope``), carrier legs (``_carrier_legs``)
-  and uplink tails (``_uplink_legs``, drifting nodes included) — one
+  (``_query_spectra``, then ``_query_envelopes``), carrier legs
+  (``_carrier_legs``) and uplink tails (``_uplink_legs``, drifting nodes included) — one
   call per group of rows that share the shapes a stack needs, and seed
   the per-link leg memos with the results (an envelope only feeds the
   query decode its dry run resumes with; the memo keeps the decode).
@@ -78,7 +78,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.core.link import BackscatterLink, CarrierLeg, NodeReply, UplinkLeg
-from repro.core.link import _carrier_legs, _envelope, _incident, _uplink_legs
+from repro.core.link import (
+    ENVELOPE_DECIMATION, _carrier_legs, _query_envelopes, _query_spectra,
+    _uplink_legs,
+)
 from repro.net.health import HealthState
 from repro.net.messages import Command, Query
 from repro.obs.trace import Tracer, get_tracer, use_tracer
@@ -427,7 +430,9 @@ class BatchedLinkEngine:
             if w.env is not None and w.env_key == key:
                 # Resumed with the batched envelope: decode it, as the
                 # live exchange would, and seed the memo with the result.
-                decoded = link.node.receive_query(w.env, link.sample_rate)
+                decoded = link.node.receive_query(
+                    w.env, link.sample_rate / ENVELOPE_DECIMATION
+                )
                 memo.put(key, decoded)
                 w.env = None
                 return decoded
@@ -486,7 +491,7 @@ class BatchedLinkEngine:
         return list(groups.values())
 
     def _batch_downlink_envelopes(self, pending: list) -> None:
-        """Stacked envelopes (``_incident``, ``_envelope``) for the paused decodes.
+        """Stacked low-rate envelopes (``_query_envelopes``) for the paused decodes.
 
         A paused node still holds the state its decode waits in, so its
         receive band is the one the live decode filters with.  Each
@@ -500,13 +505,23 @@ class BatchedLinkEngine:
             "downlink_env", rows,
             lambda r: (
                 len(r[1]), len(r[0].link.ch_projector_node._impulse),
-                r[0].link._node_band(), r[0].link.projector.carrier_hz,
-                r[0].link.sample_rate,
+                r[0].link.node.receive_band(r[0].link.sample_rate),
+                r[0].link.projector.carrier_hz, r[0].link.sample_rate,
             ),
         ):
             links = [w.link for w, _qw in group]
+            first = links[0]
             tx = stack_rows([qw for _w, qw in group])
-            for (w, _qw), env in zip(group, _envelope(links, _incident(links, tx))):
+            envelopes = _query_envelopes(
+                _query_spectra(
+                    [link.ch_projector_node for link in links],
+                    [link.beam_gain_node for link in links], tx,
+                ),
+                tx.shape[-1] + len(first.ch_projector_node._impulse) - 1,
+                first.projector.carrier_hz,
+                first.node.receive_band(first.sample_rate), first.sample_rate,
+            )
+            for (w, _qw), env in zip(group, envelopes):
                 w.env = env
             self.stats.env_batched += len(group)
 

@@ -10,16 +10,25 @@ for the CFO estimate and groups shorter than the preamble included.
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import fftconvolve
 
 from repro.acoustics import POOL_A, Position
 from repro.acoustics.noise import AmbientNoiseModel
 from repro.core import BackscatterLink, Hydrophone, Projector
-from repro.core.link import _carrier_legs, _envelope, _incident, _uplink_legs
+from repro.core.link import (
+    ENVELOPE_DECIMATION,
+    _carrier_legs,
+    _query_envelopes,
+    _query_spectra,
+    _uplink_legs,
+)
 from repro.dsp.filters import butter_bandpass, envelope_detect
+from repro.dsp.pwm import pwm_encode
 from repro.faults import EventLog
 from repro.net import Command, ReaderController, RetryPolicy
 from repro.net.messages import Query
+from repro.node.firmware import DOWNLINK_FORMAT
 from repro.node.node import PABNode
 from repro.obs import MetricsRegistry
 from repro.piezo import Transducer
@@ -78,30 +87,67 @@ def _carrier_rows(links):
     return np.stack(txs), rows
 
 
+def _plateaus(link, n: int) -> np.ndarray:
+    """The low-rate samples 1 ms or more inside a pulse, as it reaches the node.
+
+    The transmitted PWM envelope, delayed by the direct path, eroded by
+    1 ms on each side, and taken at every ``ENVELOPE_DECIMATION``-th
+    sample.
+    """
+    on = pwm_encode(
+        QUERY.to_packet().to_bits(DOWNLINK_FORMAT), link.projector.pwm_code, FS
+    )
+    delay = int(round(link.ch_projector_node.direct_path.delay_s * FS))
+    arriving = np.zeros(n)
+    arriving[delay : delay + len(on)] = on[: n - delay]
+    guard = int(1e-3 * FS)
+    inside = np.convolve(arriving, np.ones(2 * guard + 1), mode="same")
+    return (inside > 2 * guard + 0.5)[::ENVELOPE_DECIMATION]
+
+
 class TestLinkStages:
     def test_incident_and_envelope_rows(self):
+        """The query's propagation spectrum and the node's low-rate envelope.
+
+        Each row is its one-row call bit for bit.  The envelope is the
+        full-rate detector chain's (an order-2 band-pass over the node's
+        band, then ``envelope_detect``), decimated, to within 1% of its
+        peak on the pulse plateaus; it departs from it only at the
+        pulse edges, where the 400 Hz firmware smoothing dominates.
+        """
         links = _group()
         tx = np.stack([link.projector.query_waveform(QUERY, FS) for link in links])
-        incident = _incident(links, tx)
-        envelope = _envelope(links, incident)
-        assert not np.array_equal(incident[0], incident[2])
+        n = tx.shape[-1] + len(links[0].ch_projector_node._impulse) - 1
+        carrier = links[0].projector.carrier_hz
+        band = links[0].node.receive_band(FS)
+        spectra = _query_spectra(
+            [link.ch_projector_node for link in links],
+            [link.beam_gain_node for link in links], tx,
+        )
+        envelope = _query_envelopes(spectra, n, carrier, band, FS)
+        assert not np.array_equal(envelope[0], envelope[2])
+        assert envelope.shape == (3, -(-n // ENVELOPE_DECIMATION))
         for i, link in enumerate(links):
-            one = _incident([link], tx[i][None])
-            assert _same(incident[i], one[0])
-            assert _same(envelope[i], _envelope([link], one)[0])
-            # The one-row call is the plain 1-D computation.
+            one = _query_spectra(
+                [link.ch_projector_node], [link.beam_gain_node], tx[i][None]
+            )
+            assert _same(spectra[i], one[0])
+            assert _same(envelope[i], _query_envelopes(one, n, carrier, band, FS)[0])
+            # The spectrum's inverse is the incident wave.
             reference = link.beam_gain_node * fftconvolve(
                 tx[i], link.ch_projector_node._impulse
             )
-            assert _same(one[0], reference)
-            lo, hi = link._node_band()
-            assert _same(
-                envelope[i],
-                envelope_detect(
-                    butter_bandpass(reference, lo, hi, FS, order=2),
-                    link.projector.carrier_hz, FS,
-                ),
+            np.testing.assert_allclose(
+                scipy.fft.irfft(one[0], 2 * (one.shape[-1] - 1))[:n], reference,
+                rtol=0, atol=1e-9 * np.max(np.abs(reference)),
             )
+            full = envelope_detect(
+                butter_bandpass(reference, *band, FS, order=2), carrier, FS
+            )[::ENVELOPE_DECIMATION]
+            plateaus = _plateaus(link, n)
+            assert plateaus.mean() > 0.25
+            error = np.abs(envelope[i] - full)[plateaus]
+            assert error.max() < 0.01 * full.max()
 
     def test_carrier_legs_rows(self):
         links = _group()
